@@ -47,17 +47,18 @@ kernels versus compiled kernels.
 
 The pseudo-kernel name ``scenario_grid`` (run by default, or selectable via
 ``--only scenario_grid``) additionally benchmarks the ScenarioGrid path: a
-cross-fault-model sorting grid executed under the serial, batched, and
-vectorized executors, recorded as ``BENCH_scenario_grid.json`` with the
-batched-tier speedups and a bit-identity verdict.
+cross-fault-model sorting grid executed under the serial and vectorized
+executors, recorded as ``BENCH_scenario_grid.json`` with the vectorized
+speedup and a bit-identity verdict.
 
 The pseudo-kernel name ``campaign`` benchmarks the sharded campaign path
-(``repro.experiments.campaign``): a sorting sweep split into per-cell shards
-and run on a two-worker thread pool against a scratch store, compared
-bit-for-bit against the single-process serial engine, plus a resume leg that
-must reuse every shard from the store without recomputation.
-``BENCH_campaign.json`` records both wall times, the ratio, the resume wall
-time, and the bit-identity verdict.
+(``repro.experiments.campaign``): a sorting sweep split into per-series
+shards and run on a two-worker process pool against a scratch store,
+compared bit-for-bit against the single-process serial engine, plus a resume
+leg that must reuse every shard from the store without recomputation.
+``BENCH_campaign.json`` records the campaign, serial and single-process
+``vectorized`` wall times, the campaign's ratio to each, the resume wall
+time, the host's CPU count, and the bit-identity verdict.
 
 The pseudo-kernel name ``adaptive`` benchmarks the engine's
 confidence-target mode against its fixed-count twin on a sorting scenario
@@ -65,7 +66,7 @@ grid *at equal reported precision*: the fixed run's worst per-point Wilson
 half-width becomes the adaptive run's target, so both runs guarantee the
 same interval width while the adaptive one stops converged points early.
 ``BENCH_adaptive.json`` records both wall times, the speedup, the trial
-counts, and a bit-identity verdict across the batched executor tiers.
+counts, and a bit-identity verdict against the serial executor.
 
 The pseudo-kernel name ``search`` benchmarks the search-driver layer
 (``repro.experiments.search``): a critical-voltage bisection on the sorting
@@ -88,6 +89,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -287,14 +289,14 @@ def warm_up_grid(backend) -> float:
 
 
 def bench_scenario_grid(args, backend) -> dict:
-    """Time the scenario-grid path: serial vs batched vs vectorized.
+    """Time the scenario-grid path: serial vs vectorized.
 
     Runs a cross-fault-model sorting grid (two series × four scenarios ×
-    the default rate grid) under all three tiers; the batched tiers must be
-    bit-identical to the serial reference and the record captures their
-    speedups.  All three tiers run under the selected backend, so the
-    bit-identity contract holds for statistical-tier backends too (every
-    tier sees the same kernels).
+    the default rate grid) under both executors; ``vectorized`` must be
+    bit-identical to the serial reference and the record captures its
+    speedup.  Both run under the selected backend, so the bit-identity
+    contract holds for statistical-tier backends too (both see the same
+    kernels).
     """
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
@@ -312,9 +314,8 @@ def bench_scenario_grid(args, backend) -> dict:
         return [s.values for s in series], time.perf_counter() - start
 
     serial_values, serial_seconds = timed("serial")
-    batched_values, batched_seconds = timed("batched")
     vectorized_values, vectorized_seconds = timed("vectorized")
-    identical = serial_values == batched_values == vectorized_values
+    identical = serial_values == vectorized_values
     return {
         "kernel": "scenario_grid",
         "figure": "run_scenario_grid",
@@ -333,11 +334,7 @@ def bench_scenario_grid(args, backend) -> dict:
         **backend_fields(backend, warmup_seconds),
         "wall_seconds": round(vectorized_seconds, 4),
         "serial_seconds": round(serial_seconds, 4),
-        "batched_seconds": round(batched_seconds, 4),
         "speedup_vs_serial": round(serial_seconds / max(vectorized_seconds, 1e-9), 3),
-        "batched_speedup_vs_serial": round(
-            serial_seconds / max(batched_seconds, 1e-9), 3
-        ),
         "bit_identical_to_serial": identical,
     }
 
@@ -346,18 +343,24 @@ def bench_scenario_grid(args, backend) -> dict:
 #: reference leg stays affordable).
 CAMPAIGN_RATES = (0.0, 0.05, 0.2)
 
+#: Process-pool size of the BENCH_campaign record: one worker per series.
+CAMPAIGN_WORKERS = 2
+
 
 def bench_campaign(args, backend) -> dict:
     """Time the sharded campaign path against the single-process engine.
 
-    A two-series sorting sweep is split into per-cell shards
-    (``ShardPlanner("cell")``) and run on a two-worker thread pool with the
-    ``vectorized`` per-shard executor against a scratch store; the merged
+    A two-series sorting sweep is split into per-series shards
+    (``ShardPlanner("series")``) and run on a two-worker process pool with
+    the ``vectorized`` per-shard executor against a scratch store; the merged
     result must be bit-identical to ``ExperimentEngine("serial")`` on the
-    same spec.  A second submission of the identical workload then replays
-    the resume path, which must reuse every shard (``computed == 0``) and
-    merge to the same values.  Both legs run under the selected backend, so
-    the bit-identity verdict holds for statistical-tier backends too.
+    same spec.  The record also times the single-process ``vectorized``
+    engine on the same spec — the fastest path without a pool, and so the
+    baseline a parallel speedup claim has to beat.  A second submission of
+    the identical workload then replays the resume path, which must reuse
+    every shard (``computed == 0``) and merge to the same values.  Every leg
+    runs under the selected backend, so the bit-identity verdict holds for
+    statistical-tier backends too.
     """
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
@@ -375,16 +378,20 @@ def bench_campaign(args, backend) -> dict:
     def snapshot(series_list):
         return [(s.name, s.fault_rates, s.values) for s in series_list]
 
-    start = time.perf_counter()
-    serial_series = ExperimentEngine("serial").run_sweep(make_sweep())
-    serial_seconds = time.perf_counter() - start
+    def timed_engine(executor: str):
+        start = time.perf_counter()
+        series = ExperimentEngine(executor).run_sweep(make_sweep())
+        return series, time.perf_counter() - start
+
+    serial_series, serial_seconds = timed_engine("serial")
+    vectorized_series, vectorized_seconds = timed_engine("vectorized")
 
     store = tempfile.mkdtemp(prefix="bench-campaign-")
     key = {"bench": "campaign", "iterations": iterations}
     try:
         runner = CampaignRunner(
-            store=store, planner=ShardPlanner("cell"),
-            pool="thread", workers=2, executor="vectorized",
+            store=store, planner=ShardPlanner("series"),
+            pool="process", workers=CAMPAIGN_WORKERS, executor="vectorized",
         )
         campaign = runner.submit(make_sweep(), key=key)
         start = time.perf_counter()
@@ -404,6 +411,7 @@ def bench_campaign(args, backend) -> dict:
 
     identical = (
         snapshot(campaign_series) == snapshot(serial_series)
+        and snapshot(vectorized_series) == snapshot(serial_series)
         and snapshot(resumed_series) == snapshot(serial_series)
         and resume_clean
     )
@@ -416,9 +424,9 @@ def bench_campaign(args, backend) -> dict:
             "fault_rates": list(CAMPAIGN_RATES),
             "trials": args.trials,
             "iterations": iterations,
-            "granularity": "cell",
-            "pool": "thread",
-            "workers": 2,
+            "granularity": "series",
+            "pool": "process",
+            "workers": CAMPAIGN_WORKERS,
         },
         "sweep": True,
         "batched": True,
@@ -429,6 +437,11 @@ def bench_campaign(args, backend) -> dict:
         "wall_seconds": round(campaign_seconds, 4),
         "serial_seconds": round(serial_seconds, 4),
         "speedup_vs_serial": round(serial_seconds / max(campaign_seconds, 1e-9), 3),
+        "vectorized_seconds": round(vectorized_seconds, 4),
+        "speedup_vs_vectorized": round(
+            vectorized_seconds / max(campaign_seconds, 1e-9), 3
+        ),
+        "cpu_count": os.cpu_count(),
         "resume_seconds": round(resume_seconds, 4),
         "shards_total": len(campaign.shards),
         "resume_reused_all": resume_clean,
@@ -450,7 +463,7 @@ def bench_adaptive(args, backend) -> dict:
     target (with ``max_trials`` set to the same count), so the adaptive run
     reports intervals at least as tight as the fixed one on every point —
     equal precision, fewer trials.  Determinism of the round loop is
-    checked by re-running the adaptive sweep under the ``batched`` executor
+    checked by re-running the adaptive sweep under the ``serial`` executor
     and requiring bit-identical values *and* stopping pattern.
     """
     warmup_seconds = warm_up_grid(backend)
@@ -485,7 +498,7 @@ def bench_adaptive(args, backend) -> dict:
         max_trials=fixed_trials,
     )
     adaptive_series, adaptive_seconds = timed(policy)
-    check_series, _ = timed(policy, executor="batched")
+    check_series, _ = timed(policy, executor="serial")
 
     def snapshot(series_list):
         return [
@@ -701,8 +714,7 @@ def main() -> int:
             record_history(record)
             verdict = "ok" if record["bit_identical_to_serial"] else "MISMATCH"
             print(
-                f"  serial {record['serial_seconds']:.2f}s, batched "
-                f"{record['batched_seconds']:.2f}s (x{record['batched_speedup_vs_serial']:.2f}), "
+                f"  serial {record['serial_seconds']:.2f}s, "
                 f"vectorized {record['wall_seconds']:.2f}s "
                 f"(x{record['speedup_vs_serial']:.2f}), bit-identity {verdict}"
             )
@@ -716,9 +728,11 @@ def main() -> int:
             record_history(record)
             verdict = "ok" if record["bit_identical_to_serial"] else "MISMATCH"
             print(
-                f"  serial {record['serial_seconds']:.2f}s, campaign "
+                f"  serial {record['serial_seconds']:.2f}s, vectorized "
+                f"{record['vectorized_seconds']:.2f}s, campaign "
                 f"{record['wall_seconds']:.2f}s "
-                f"(x{record['speedup_vs_serial']:.2f}, "
+                f"(x{record['speedup_vs_serial']:.2f} vs serial, "
+                f"x{record['speedup_vs_vectorized']:.2f} vs vectorized, "
                 f"{record['shards_total']} shards), resume "
                 f"{record['resume_seconds']:.2f}s, bit-identity {verdict}"
             )

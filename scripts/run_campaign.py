@@ -41,7 +41,12 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.campaign import CampaignRunner, ShardPlanner, campaign_status
+from repro.experiments.campaign import (
+    CampaignRunner,
+    ShardPlanner,
+    campaign_status,
+    list_pools,
+)
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import list_executors
 from repro.experiments.kernels import WORKLOAD_SEED, get_kernel, sweep_kernels
@@ -83,9 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", default=".repro-cache/campaigns",
                         help="shared artifact store directory "
                         "(default: .repro-cache/campaigns)")
-    parser.add_argument("--pool", choices=("serial", "thread", "process"),
-                        default="thread",
-                        help="worker pool (default: thread)")
+    parser.add_argument("--pool", choices=list_pools(), default="serial",
+                        help="worker pool (default: serial)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker-pool size (default: 2)")
     parser.add_argument("--executor", default="auto", choices=list_executors(),

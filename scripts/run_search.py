@@ -42,7 +42,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.campaign import ShardStore
+from repro.experiments.campaign import ShardStore, list_pools
 from repro.experiments.executors import list_executors
 from repro.experiments.kernels import WORKLOAD_SEED, get_kernel, sweep_kernels
 from repro.experiments.reporting import format_search_report, save_search_report
@@ -114,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shared artifact store directory — sharing the "
                         "campaign store lets searches reuse campaign shards "
                         "(default: .repro-cache/campaigns)")
-    parser.add_argument("--pool", choices=("serial", "thread", "process"),
-                        default="serial",
+    parser.add_argument("--pool", choices=list_pools(), default="serial",
                         help="worker pool per probe (default: serial)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker-pool size (default: pool default)")

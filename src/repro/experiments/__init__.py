@@ -38,19 +38,18 @@ stable kernel name (``"sorting"``, ``"cg_least_squares"``, ...).
 Sweeps execute through the :class:`~repro.experiments.engine.ExperimentEngine`
 plan/execute subsystem: a sweep is expanded into seeded
 :class:`~repro.experiments.spec.TrialSpec` entries and handed to a pluggable
-executor (``serial``, ``process``, ``batched``, ``vectorized``, or ``auto``),
-all of which produce bit-identical results.  The ``vectorized`` executor is
-the tensorized trial backend (:mod:`repro.experiments.tensor`): it runs a
-whole (fault-rate × trials) series grid as one stacked numpy computation for
-trial functions that declare a batch implementation.  Completed figures can
+executor (``serial``, ``vectorized``, or ``auto``), all of which produce
+bit-identical results.  The ``vectorized`` executor is the tensorized trial
+backend (:mod:`repro.experiments.tensor`): it runs a whole (fault-rate ×
+trials) series grid as one stacked numpy computation for trial functions
+that declare a batch implementation.  Multi-core runs go through the
+campaign layer's ``process`` worker pool (:mod:`repro.experiments.campaign`).  Completed figures can
 be cached on disk through :class:`~repro.experiments.cache.ResultCache`.
 """
 
 from repro.experiments.engine import ExperimentEngine, ProgressEvent
 from repro.experiments.executors import (
     AutoExecutor,
-    BatchedExecutor,
-    ProcessExecutor,
     SerialExecutor,
     VectorizedExecutor,
     get_executor,
@@ -103,8 +102,6 @@ __all__ = [
     "SweepSpec",
     "TrialSpec",
     "SerialExecutor",
-    "ProcessExecutor",
-    "BatchedExecutor",
     "VectorizedExecutor",
     "AutoExecutor",
     "KernelSpec",

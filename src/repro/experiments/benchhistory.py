@@ -194,6 +194,8 @@ def history_record_from_bench(
         "machine": dict(machine) if machine is not None else machine_fingerprint(),
     }
     for extra in (
+        # Scenario-grid records written while the engine still had a
+        # per-cell "batched" executor; kept so those records round-trip.
         "batched_seconds",
         "batched_speedup_vs_serial",
         # Backend-aware records (scripts/bench_all.py --backend): which
@@ -216,6 +218,11 @@ def history_record_from_bench(
         "trials_fixed",
         "trials_adaptive",
         "target_half_width",
+        # Campaign records (the "campaign" pseudo-kernel): the
+        # single-process vectorized engine's wall time on the same sweep and
+        # the campaign's ratio to it — the honest parallel-speedup baseline.
+        "vectorized_seconds",
+        "speedup_vs_vectorized",
         # Search-driver records (the "search" pseudo-kernel): bisection vs
         # dense-grid probe/trial counts and the agreement verdict, plus the
         # memoized-rerun proof and the workload-memo saving — see

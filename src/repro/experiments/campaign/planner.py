@@ -2,10 +2,11 @@
 
 A *shard* is a sub-batch of a sweep's grid points — the unit the campaign
 scheduler dispatches to workers and the :class:`~.store.ShardStore` persists.
-Shards use the same (series, scenario[, rate]) grouping the batched executor
-tiers already use (see :meth:`SweepSpec.point_groups`), so a shard never
-splits a vectorized batch: the sharded fast path is exactly the unsharded
-one, restricted to fewer points.
+Shards group grid points by (series, scenario[, rate]) (see
+:meth:`SweepSpec.point_groups`); the ``series`` grouping is the one the
+``vectorized`` executor batches by, so a shard never splits a tensor batch:
+the sharded fast path is exactly the unsharded one, restricted to fewer
+points.
 
 Shard ids are *content addresses*: the SHA-256 of the sweep fingerprint, the
 caller's workload key, and the shard's own point list (the same strict

@@ -1,46 +1,42 @@
 """Dispatching pending shards to a pluggable worker pool.
 
 :class:`CampaignScheduler` takes a planned shard list, skips every shard the
-:class:`~.store.ShardStore` already holds, and runs the rest on one of three
+:class:`~.store.ShardStore` already holds, and runs the rest on one of two
 pools:
 
 ``serial``
     Shards run inline, one at a time — the reference pool.
-``thread``
-    A ``ThreadPoolExecutor``: shards overlap in one process.  Useful when
-    each shard's executor releases the GIL (numpy tensor batches) or is
-    itself a process pool (the executors module serializes concurrent
-    process-executor runs safely).
 ``process``
     A fork-context ``ProcessPoolExecutor``: one OS process per worker, with
     **retry-on-worker-death** — a died worker breaks the pool, which is
     rebuilt and the still-unfinished shards requeued, up to ``max_retries``
     rebuilds.  Completed shards were already published to the store, so a
-    retry never recomputes them.  Falls back to ``thread`` where fork is
-    unsupported (same platform test as the process executor).
+    retry never recomputes them.  Falls back to ``serial`` where fork is
+    unsupported (:func:`fork_supported`) or with a single worker.
 
 Within a shard, trials run through the ordinary executor stack
 (:func:`~repro.experiments.executors.get_executor` by name, so the choice
-ships to forked workers as plain strings); the sweep's compute-backend
+ships to forked workers as a plain string); the sweep's compute-backend
 choice rides on the sweep object itself.  Results are bit-identical across
 pools for the same reason they are across executors: every trial and every
 adaptive stopping decision derives from grid coordinates alone.
 
-Like the process executor, the process pool hands the (unpicklable) sweep to
-workers by fork inheritance through a module-level slot, so only one process
-campaign can run at a time per process (enforced with a lock + error).
+The process pool hands the (unpicklable) sweep to workers by fork
+inheritance through a module-level slot, so only one process campaign can
+run at a time per process (enforced with a lock + error).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.engine import run_adaptive_points, run_point_block
-from repro.experiments.executors import Executor, ProcessExecutor, get_executor
+from repro.experiments.executors import Executor, get_executor
 from repro.experiments.campaign.planner import Shard
 from repro.experiments.campaign.store import ShardResult, ShardStore
 from repro.experiments.spec import SweepSpec
@@ -49,12 +45,13 @@ __all__ = [
     "POOL_KINDS",
     "WorkerPoolError",
     "execute_shard",
+    "fork_supported",
     "CampaignScheduler",
     "list_pools",
 ]
 
 #: The pluggable worker pools, by name.
-POOL_KINDS = ("serial", "thread", "process")
+POOL_KINDS = ("serial", "process")
 
 #: Callback invoked as each pending shard completes: ``on_shard(shard, result)``.
 #: Raising aborts the campaign run (already-stored shards stay in the store).
@@ -87,16 +84,37 @@ def execute_shard(sweep: SweepSpec, shard: Shard, executor: Executor) -> ShardRe
     )
 
 
+def fork_supported() -> bool:
+    """Whether fork-based worker pools are safe on this platform.
+
+    macOS advertises fork but forking a process with an initialized
+    Accelerate/Objective-C runtime is unsafe (workers can abort or
+    deadlock), so the process pool is restricted to platforms where fork
+    after numpy initialization is well-behaved; elsewhere it falls back to
+    the serial reference pool.
+    """
+    return (
+        sys.platform != "darwin"
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
+
+
 # --------------------------------------------------------------------------- #
-# Process-pool plumbing (fork inheritance, same pattern as ProcessExecutor)
+# Process-pool plumbing (fork inheritance)
 # --------------------------------------------------------------------------- #
-_ACTIVE_CAMPAIGN: Optional[Tuple[SweepSpec, Sequence[Shard], str, Dict[str, Any]]] = None
+# Trial functions are typically closures over workload arrays and are not
+# picklable, so the parent publishes the active (sweep, shards, executor)
+# triple in this module-level slot immediately before forking the pool, and
+# workers receive only shard indices over the task queue.  RLock, not Lock:
+# a same-thread reentrant call (a trial or callback starting another process
+# campaign) must reach the populated-slot check and raise, not deadlock.
+_ACTIVE_CAMPAIGN: Optional[Tuple[SweepSpec, Sequence[Shard], str]] = None
 _ACTIVE_CAMPAIGN_LOCK = threading.RLock()
 
 
 def _run_shard_by_index(index: int) -> Tuple[int, Tuple[Tuple[float, ...], ...], Optional[Tuple[bool, ...]]]:
-    sweep, shards, executor_name, executor_options = _ACTIVE_CAMPAIGN
-    executor = get_executor(executor_name, **executor_options)
+    sweep, shards, executor_name = _ACTIVE_CAMPAIGN
+    executor = get_executor(executor_name)
     result = execute_shard(sweep, shards[index], executor)
     return index, result.values, result.halted
 
@@ -107,17 +125,17 @@ class CampaignScheduler:
     Parameters
     ----------
     pool:
-        ``"serial"``, ``"thread"``, or ``"process"`` (see module docstring).
+        ``"serial"`` (the default) or ``"process"`` (see module docstring).
     workers:
         Pool size; defaults to 2.  A one-worker pool degrades to serial.
     max_retries:
         How many times a broken process pool is rebuilt before
-        :class:`WorkerPoolError` is raised.  Ignored by the other pools.
+        :class:`WorkerPoolError` is raised.  Ignored by the serial pool.
     """
 
     def __init__(
         self,
-        pool: str = "thread",
+        pool: str = "serial",
         workers: Optional[int] = None,
         max_retries: int = 2,
     ) -> None:
@@ -132,10 +150,8 @@ class CampaignScheduler:
         self.max_retries = max_retries
 
     def resolved_pool(self) -> str:
-        """The pool that will actually run: process falls back off-fork."""
-        if self.pool == "process" and not ProcessExecutor.is_supported():
-            return "thread"
-        if self.workers <= 1 and self.pool != "serial":
+        """The pool that will actually run: process falls back to serial."""
+        if self.pool == "process" and (self.workers <= 1 or not fork_supported()):
             return "serial"
         return self.pool
 
@@ -145,7 +161,6 @@ class CampaignScheduler:
         shards: Sequence[Shard],
         store: ShardStore,
         executor: str = "auto",
-        executor_options: Optional[Mapping[str, Any]] = None,
         on_shard: Optional[ShardCallback] = None,
     ) -> Dict[str, Any]:
         """Execute every shard not already in the store; return run stats.
@@ -153,9 +168,9 @@ class CampaignScheduler:
         Completed shards publish to ``store`` as they finish (atomic,
         content-addressed), so a killed run loses at most the in-flight
         shards — everything already published is skipped by the next run.
-        Returns ``{"total", "reused", "computed", "retries", "pool"}``.
+        Returns ``{"total", "reused", "computed", "retries", "pool"}``, where
+        ``pool`` is always the resolved pool (:meth:`resolved_pool`).
         """
-        options = dict(executor_options or {})
         completed_ids = store.completed(shards)
         pending = [shard for shard in shards if shard.shard_id not in completed_ids]
         stats: Dict[str, Any] = {
@@ -163,7 +178,7 @@ class CampaignScheduler:
             "reused": len(shards) - len(pending),
             "computed": 0,
             "retries": 0,
-            "pool": self.resolved_pool() if pending else self.pool,
+            "pool": self.resolved_pool(),
         }
         if not pending:
             return stats
@@ -174,44 +189,12 @@ class CampaignScheduler:
             if on_shard is not None:
                 on_shard(shard, result)
 
-        pool_kind = stats["pool"]
-        if pool_kind == "serial":
+        if stats["pool"] == "serial":
             for shard in pending:
-                result = execute_shard(sweep, shard, get_executor(executor, **options))
-                publish(shard, result)
-        elif pool_kind == "thread":
-            self._run_thread_pool(sweep, pending, executor, options, publish)
+                publish(shard, execute_shard(sweep, shard, get_executor(executor)))
         else:
-            self._run_process_pool(
-                sweep, shards, pending, executor, options, publish, stats
-            )
+            self._run_process_pool(sweep, shards, pending, executor, publish, stats)
         return stats
-
-    def _run_thread_pool(
-        self,
-        sweep: SweepSpec,
-        pending: Sequence[Shard],
-        executor: str,
-        options: Dict[str, Any],
-        publish: Callable[[Shard, ShardResult], None],
-    ) -> None:
-        workers = min(self.workers, len(pending))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    execute_shard, sweep, shard, get_executor(executor, **options)
-                ): shard
-                for shard in pending
-            }
-            try:
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        publish(futures[future], future.result())
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
 
     def _run_process_pool(
         self,
@@ -219,7 +202,6 @@ class CampaignScheduler:
         shards: Sequence[Shard],
         pending: Sequence[Shard],
         executor: str,
-        options: Dict[str, Any],
         publish: Callable[[Shard, ShardResult], None],
         stats: Dict[str, Any],
     ) -> None:
@@ -231,7 +213,7 @@ class CampaignScheduler:
                 raise RuntimeError(
                     "the process worker pool is not reentrant within one process"
                 )
-            _ACTIVE_CAMPAIGN = (sweep, tuple(shards), executor, options)
+            _ACTIVE_CAMPAIGN = (sweep, tuple(shards), executor)
             try:
                 context = multiprocessing.get_context("fork")
                 while remaining:

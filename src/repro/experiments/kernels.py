@@ -169,9 +169,7 @@ def batchable(run_batch: Callable) -> Callable:
     :class:`repro.processor.batch.ProcessorBatch`) so that the batched result
     stays bit-identical to serial execution.
 
-    The ``batched`` executor calls ``run_batch`` once per (series,
-    fault-rate) cell, so every processor in a call shares one fault rate; the
-    ``vectorized`` executor calls it once per *series* with the whole
+    The ``vectorized`` executor calls it once per *series* with the whole
     (fault-rate × trials) grid, so implementations must read each processor's
     own ``fault_rate`` rather than assuming ``procs[0]`` speaks for the batch.
     """
@@ -241,8 +239,8 @@ def sorting_trial_functions(
     ``None`` for the noisy-comparison-sort baseline; the default is the
     figure's "Base" / "SGD" / "SGD+AS,LS" / "SGD+AS,SQS" line-up.  Robust
     series carry a :func:`batchable` implementation backed by
-    :func:`~repro.applications.sorting.robust_sort_batch`, so the ``batched``
-    and ``vectorized`` executors advance whole trial batches as one tensor
+    :func:`~repro.applications.sorting.robust_sort_batch`, so the
+    ``vectorized`` executor advances whole trial batches as one tensor
     computation (bit-identical to serial execution).
     """
     if series is None:

@@ -68,8 +68,8 @@ def run_fault_rate_sweep(
     random streams of different series do not interact.
 
     ``engine`` selects how the expanded plan executes: ``None`` uses the
-    serial reference executor, a string (``"serial"``, ``"process"``,
-    ``"batched"``) builds a default engine with that executor, and a
+    serial reference executor, a string (``"serial"``, ``"vectorized"``,
+    ``"auto"``) builds a default engine with that executor, and a
     ready-built :class:`~repro.experiments.engine.ExperimentEngine` is used
     as-is.  The choice affects throughput only — results are identical.
 
@@ -124,8 +124,8 @@ def run_scenario_grid(
 
     Every (series, scenario, rate, trial) cell owns an independent random
     stream derived from ``seed`` and its coordinates, so results are
-    bit-identical across all executors; the ``batched`` / ``vectorized``
-    executors run one vectorized sub-batch per scenario.  ``policy`` works
+    bit-identical across all executors; the ``vectorized`` executor runs
+    one tensorized sub-batch per scenario.  ``policy`` works
     exactly as in :func:`run_fault_rate_sweep`: an adaptive
     :class:`~repro.experiments.sequential.ConfidenceTarget` stops each
     (series, scenario, rate) point independently at its target half-width.
@@ -155,7 +155,7 @@ def run_campaign(
     policy: Optional[BudgetPolicy] = None,
     backend: Optional[str] = None,
     key: Optional[Mapping[str, Any]] = None,
-    pool: str = "thread",
+    pool: str = "serial",
     workers: Optional[int] = None,
     executor: str = "auto",
     granularity: str = "series",

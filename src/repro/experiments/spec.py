@@ -7,8 +7,8 @@ distribution, dtype, voltage operating point; see
 :mod:`repro.experiments.scenarios`) — and :meth:`SweepSpec.expand` flattens it
 into :class:`TrialSpec` entries, each of which derives its random streams
 purely from its own coordinates.  Because a trial's seed never depends on
-execution order, every executor — serial, process pool, or batched — produces
-bit-identical results for the same spec.
+execution order, every executor — serial or vectorized, inline or in a
+campaign worker pool — produces bit-identical results for the same spec.
 
 The classic single-model fault-rate sweep is the ``scenarios=None`` special
 case: its expansion, seeding, and fingerprint are byte-identical to the
@@ -207,8 +207,8 @@ class SweepSpec:
         ``granularity="series"`` groups by (series, scenario) — the same
         grouping the ``vectorized`` executor batches by, so a shard keeps
         the whole tensorized fast path.  ``granularity="cell"`` groups by
-        (series, scenario, rate) — the ``batched`` tier's finer cells, for
-        wider fan-out at the cost of one tensor call per rate.  Every grid
+        (series, scenario, rate) — finer cells, for wider fan-out at the
+        cost of one tensor call per rate.  Every grid
         point appears in exactly one group.
         """
         if granularity not in ("series", "cell"):

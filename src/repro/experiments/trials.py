@@ -5,7 +5,7 @@ full application solve.  :func:`make_noisy_sum_trial` additionally carries a
 vectorized batch implementation (via
 :func:`~repro.experiments.kernels.batchable`) that routes whole trial
 batches through :func:`repro.faults.vectorized.corrupt_batch`, making it the
-reference workload for batched-executor equivalence tests and benchmarks.
+reference workload for vectorized-executor equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def make_noisy_sum_trial(n: int = 256, ops_per_element: int = 8) -> TrialFunctio
     every trial of the batch and corrupts the whole stack in one
     :func:`corrupt_batch` pass — using each trial's own generator and fault
     rate in the same order as the serial path, so results are bit-identical
-    whether the executor batches one (series, rate) cell (``batched``) or a
-    whole series across the rate grid (``vectorized``).  A batch whose
+    whether a batch holds one (series, rate) cell or a whole series across
+    the rate grid.  A batch whose
     processors mix datapath dtypes cannot share the fused cast and falls back
     to per-trial serial execution (still bit-identical).
     """

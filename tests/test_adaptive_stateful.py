@@ -5,8 +5,8 @@ scenario axes) and confidence targets from the shared ``tests.strategies``
 package, then interleaves adaptive runs, cache stores/loads, and degenerate
 fixed-count twins, checking the round loop against a simple model:
 
-* adaptive results are byte-identical across the serial, batched, and
-  vectorized executors on every step (the process tier is exercised in a
+* adaptive results are byte-identical across the serial and vectorized
+  executors on every step (the campaign process pool is exercised in a
   dedicated test at machine-friendly scale);
 * per-point ``trials_used`` never exceeds ``max_trials``; ``halted_early``
   means exactly "stopped before the cap" and implies ``min_trials`` ran;
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.experiments.cache import ResultCache, spec_hash
+from repro.experiments.campaign import CampaignRunner, ShardPlanner
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.results import FigureResult
 from repro.experiments.sequential import ConfidenceTarget
@@ -40,10 +41,10 @@ from tests.strategies import (
     unreachable_targets,
 )
 
-#: Executors compared on every adaptive step.  The process tier round-trips
-#: through pickled workers and is far slower to spin up, so it is covered by
-#: ``test_process_executor_matches_serial_adaptive`` instead of per-step.
-EXECUTORS = ("serial", "batched", "vectorized")
+#: Executors compared on every adaptive step.  The campaign process pool
+#: forks workers and is far slower to spin up, so it is covered by
+#: ``test_process_pool_matches_serial_adaptive`` instead of per-step.
+EXECUTORS = ("serial", "vectorized")
 
 
 def snapshot(series_list):
@@ -197,13 +198,17 @@ class TestAdaptiveRoundLoop(AdaptiveRoundLoopMachine.TestCase):
     settings = settings(max_examples=12, stateful_step_count=8, deadline=None)
 
 
-def test_process_executor_matches_serial_adaptive():
-    """The process tier reproduces serial byte-for-byte on an adaptive grid."""
+def test_process_pool_matches_serial_adaptive(tmp_path):
+    """The campaign process pool reproduces serial byte-for-byte on an
+    adaptive grid, one shard per (series, scenario, rate) cell."""
     target = ConfidenceTarget(half_width=0.4, batch=2, min_trials=2, max_trials=6)
 
     def spec():
         return make_grid(("nominal", "low-order-seu"), policy=target, seed=11)
 
     reference = ExperimentEngine("serial").run_sweep(spec())
-    process = ExperimentEngine("process").run_sweep(spec())
+    runner = CampaignRunner(
+        tmp_path, planner=ShardPlanner("cell"), pool="process", workers=2
+    )
+    process = runner.submit(spec()).run()
     assert snapshot(process) == snapshot(reference)

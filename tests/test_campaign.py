@@ -7,7 +7,7 @@ The load-bearing claims pinned here:
 * the store is a miss-never-an-exception artifact cache (corrupt, torn, or
   foreign artifacts degrade to recomputation) with atomic writes;
 * the scheduler reuses existing artifacts, retries across worker death, and
-  every pool (serial/thread/process) produces byte-identical merges;
+  every pool (serial/process) produces byte-identical merges;
 * the merged campaign equals the single-process serial engine run —
   byte-for-byte, via ``series_digest`` — for fixed-count AND adaptive
   sweeps, and resuming recomputes only the missing shards;
@@ -32,8 +32,10 @@ from repro.experiments.campaign import (
     WorkerPoolError,
     campaign_status,
     execute_shard,
+    list_pools,
     prune_artifacts,
 )
+from repro.experiments.campaign import scheduler as scheduler_module
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.results import series_digest
 from repro.experiments.runner import run_campaign
@@ -164,12 +166,41 @@ class TestShardStore:
 
 class TestScheduler:
     def test_pool_fallbacks(self):
-        assert CampaignScheduler(pool="thread", workers=1).resolved_pool() == "serial"
+        assert CampaignScheduler(pool="process", workers=1).resolved_pool() == "serial"
         assert CampaignScheduler(pool="serial").resolved_pool() == "serial"
+        assert CampaignScheduler().pool == "serial"
         with pytest.raises(ValueError, match="pool"):
             CampaignScheduler(pool="bogus")
 
-    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+    def test_pool_registry(self):
+        assert list_pools() == ["serial", "process"]
+
+    def test_removed_thread_pool_names_the_available_ones(self, tmp_path):
+        match = r"unknown pool 'thread'; available: \['serial', 'process'\]"
+        with pytest.raises(ValueError, match=match):
+            CampaignScheduler(pool="thread")
+        with pytest.raises(ValueError, match=match):
+            CampaignRunner(store=tmp_path, pool="thread")
+
+    def test_process_pool_falls_back_to_serial_without_fork(self, monkeypatch):
+        pool = CampaignScheduler(pool="process", workers=2)
+        monkeypatch.setattr(scheduler_module, "fork_supported", lambda: True)
+        assert pool.resolved_pool() == "process"
+        monkeypatch.setattr(scheduler_module, "fork_supported", lambda: False)
+        assert pool.resolved_pool() == "serial"
+
+    def test_stats_report_the_resolved_pool_on_resume(self, tmp_path):
+        # A one-worker process pool runs serially; the fresh run and its
+        # resume (nothing pending) must both say so.
+        runner = CampaignRunner(store=tmp_path, pool="process", workers=1)
+        fresh = runner.submit(make_sweep())
+        fresh.run()
+        resumed = runner.submit(make_sweep())
+        resumed.run()
+        assert resumed.stats["computed"] == 0
+        assert fresh.stats["pool"] == resumed.stats["pool"] == "serial"
+
+    @pytest.mark.parametrize("pool", ["serial", "process"])
     def test_every_pool_bit_identical_to_serial_engine(self, tmp_path, pool):
         reference = serial_reference()
         runner = CampaignRunner(store=tmp_path / pool, pool=pool, workers=2)
@@ -260,7 +291,7 @@ class TestCampaign:
         kwargs = dict(scenarios=("nominal", "low-order-seu"))
         reference = serial_reference(kwargs)
         runner = CampaignRunner(
-            store=tmp_path, planner=ShardPlanner(granularity), pool="thread",
+            store=tmp_path, planner=ShardPlanner(granularity), pool="process",
             workers=2,
         )
         series = runner.submit(make_sweep(**kwargs)).run()
@@ -271,7 +302,7 @@ class TestCampaign:
             policy=ConfidenceTarget(half_width=0.5, batch=2, max_trials=6)
         )
         reference = serial_reference(kwargs)
-        runner = CampaignRunner(store=tmp_path, pool="thread", workers=2)
+        runner = CampaignRunner(store=tmp_path, pool="process", workers=2)
         campaign = runner.submit(make_sweep(**kwargs))
         series = campaign.run()
         assert series_digest(series) == series_digest(reference)

@@ -82,7 +82,7 @@ class CampaignCrashResumeMachine(RuleBasedStateMachine):
         self.runner = CampaignRunner(
             store=self.directory,
             planner=ShardPlanner(granularity),
-            pool="thread",
+            pool="process",
             workers=2,
         )
         self.reference = series_digest(

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from repro.experiments.cache import ResultCache, spec_hash
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import (
-    BatchedExecutor,
-    ProcessExecutor,
     SerialExecutor,
+    VectorizedExecutor,
     get_executor,
     list_executors,
 )
@@ -75,20 +74,15 @@ class TestExecutorEquivalence:
     def reference(self):
         return ExperimentEngine(SerialExecutor()).run_sweep(make_sweep())
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "process", "batched", "vectorized", "auto"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "vectorized", "auto"])
     def test_matches_serial_reference(self, executor, reference):
-        options = {"workers": 4} if executor == "process" else {}
-        engine = ExperimentEngine(get_executor(executor, **options))
+        engine = ExperimentEngine(get_executor(executor))
         result = engine.run_sweep(make_sweep())
         assert [s.values for s in result] == [s.values for s in reference]
         assert [s.name for s in result] == [s.name for s in reference]
         assert [s.fault_rates for s in result] == [s.fault_rates for s in reference]
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "process", "batched", "vectorized", "auto"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "vectorized", "auto"])
     def test_batchable_trial_identical_across_executors(self, executor):
         def sweep():
             return SweepSpec(
@@ -98,8 +92,7 @@ class TestExecutorEquivalence:
                 seed=11,
             )
 
-        options = {"workers": 2} if executor == "process" else {}
-        engine = ExperimentEngine(get_executor(executor, **options))
+        engine = ExperimentEngine(get_executor(executor))
         result = engine.run_sweep(sweep())
         reference = ExperimentEngine().run_sweep(sweep())
         assert [s.values for s in result] == [s.values for s in reference]
@@ -130,26 +123,18 @@ class TestExecutorEquivalence:
 
 class TestExecutors:
     def test_registry(self):
-        assert list_executors() == ["auto", "batched", "process", "serial", "vectorized"]
+        assert list_executors() == ["auto", "serial", "vectorized"]
         with pytest.raises(ValueError, match="unknown executor"):
             get_executor("gpu")
 
-    def test_process_executor_validates_options(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(workers=0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(chunksize=0)
+    @pytest.mark.parametrize("name", ["batched", "process"])
+    def test_removed_executors_name_the_available_ones(self, name):
+        with pytest.raises(ValueError, match=r"available: \['auto', 'serial', 'vectorized'\]"):
+            get_executor(name)
+        with pytest.raises(ValueError, match="unknown executor"):
+            ExperimentEngine(name)
 
-    def test_process_executor_streams_all_indices(self):
-        sweep = make_sweep(trials=2)
-        specs = sweep.expand()
-        seen = {}
-        ProcessExecutor(workers=2, chunksize=1).run(
-            sweep, specs, lambda i, v: seen.__setitem__(i, v)
-        )
-        assert sorted(seen) == list(range(len(specs)))
-
-    def test_batched_executor_uses_run_batch(self):
+    def test_vectorized_executor_uses_run_batch(self):
         calls = []
         trial = make_noisy_sum_trial(n=16)
         original = trial.run_batch
@@ -160,10 +145,10 @@ class TestExecutors:
 
         trial.run_batch = counting_run_batch
         sweep = SweepSpec({"noise": trial}, fault_rates=(0.0, 0.1), trials=4, seed=0)
-        BatchedExecutor().run(sweep, sweep.expand())
-        assert calls == [4, 4]  # one batch per fault-rate cell
+        VectorizedExecutor().run(sweep, sweep.expand())
+        assert calls == [8]  # one batch per series, spanning every fault rate
 
-    def test_batched_executor_rejects_bad_batch_size(self):
+    def test_vectorized_executor_rejects_bad_batch_size(self):
         def bad_batch(procs, streams):
             return [0.0]
 
@@ -172,8 +157,8 @@ class TestExecutors:
 
         trial.run_batch = bad_batch
         sweep = SweepSpec({"bad": trial}, fault_rates=(0.0,), trials=3, seed=0)
-        with pytest.raises(ValueError, match="run_batch returned"):
-            BatchedExecutor().run(sweep, sweep.expand())
+        with pytest.raises(ValueError, match="run_batch returned 1 values"):
+            VectorizedExecutor().run(sweep, sweep.expand())
 
 
 class TestCorruptBatch:
@@ -274,7 +259,7 @@ class TestEngine:
             fault_rates=(0.1,),
             trials=2,
             seed=5,
-            engine=ExperimentEngine("batched"),
+            engine=ExperimentEngine("vectorized"),
         )
         assert [s.values for s in via_engine] == [s.values for s in reference]
 

@@ -2,10 +2,10 @@
 
 Randomly grown sweep specifications — series sets mixing batchable and
 serial-only trial functions, fault-rate grids, trial counts, seeds, and
-optional scenario axes (including a mixed-dtype grid that forces the batched
-tiers' per-dtype sub-batching) — are executed under the ``serial`` reference
-and the ``batched`` / ``vectorized`` tiers, and every executor must produce
-bit-identical series.  This is the invariant the perf-trajectory gate's
+optional scenario axes (including a mixed-dtype grid that forces the
+vectorized tier's per-dtype sub-batching) — are executed under the ``serial``
+reference and the ``vectorized`` tier, and both must produce bit-identical
+series.  This is the invariant the perf-trajectory gate's
 ``bit_identical`` field records and the aggressive engine refactors on the
 roadmap must preserve; the state machine hunts for the spec *shapes* (empty
 grids, single trials, scenario/dtype mixes) where a tier could silently
@@ -26,7 +26,7 @@ from tests.strategies import (
     trial_counts,
 )
 
-EXECUTORS = ("serial", "batched", "vectorized")
+EXECUTORS = ("serial", "vectorized")
 
 
 class ExecutorEquivalenceMachine(RuleBasedStateMachine):

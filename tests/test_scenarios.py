@@ -171,7 +171,7 @@ class TestScenarioGridExecutors:
 
     def batchable_grid(self):
         # double-precision-64 mixes a float64 datapath into the grid, so the
-        # batched tiers must keep scenario sub-batches separate.
+        # vectorized executor must keep scenario sub-batches separate.
         return SweepSpec(
             {"noise": make_noisy_sum_trial(n=32, ops_per_element=6)},
             fault_rates=(0.0, 0.1, 0.5),
@@ -184,12 +184,9 @@ class TestScenarioGridExecutors:
     def reference(self):
         return ExperimentEngine("serial").run_sweep(self.batchable_grid())
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "process", "batched", "vectorized", "auto"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "vectorized", "auto"])
     def test_bit_identical_across_executors(self, executor, reference):
-        options = {"workers": 2} if executor == "process" else {}
-        engine = ExperimentEngine(get_executor(executor, **options))
+        engine = ExperimentEngine(get_executor(executor))
         result = engine.run_sweep(self.batchable_grid())
         assert [s.values for s in result] == [s.values for s in reference]
         assert [s.name for s in result] == [s.name for s in reference]

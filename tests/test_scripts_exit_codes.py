@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import benchhistory as bh
+from repro.experiments.campaign import list_pools
+from repro.experiments.executors import list_executors
 from repro.experiments.results import SeriesResult
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -62,11 +64,10 @@ def fake_grid_series(functions, scenarios, salt=0.0):
 
 class TestSmokeScenarioGrid:
     def test_tiny_real_grid_exits_zero(self, smoke):
-        # The real path at toy scale: serial vs batched vs vectorized on a
+        # The real path at toy scale: serial vs vectorized on a
         # 2-scenario x 2-rate sorting grid with a tiny iteration budget.
         code = smoke.main(
-            ["--iterations", "40", "--trials", "1",
-             "--executor", "batched", "--executor", "vectorized"]
+            ["--iterations", "40", "--trials", "1", "--executor", "vectorized"]
         )
         assert code == 0
 
@@ -76,14 +77,14 @@ class TestSmokeScenarioGrid:
         def diverging_grid(functions, scenarios, **kwargs):
             calls["count"] += 1
             # Every executor after the serial reference returns different
-            # trial values, as a broken batched tier would.
+            # trial values, as a broken vectorized tier would.
             return fake_grid_series(functions, scenarios, salt=calls["count"])
 
         monkeypatch.setattr(smoke, "run_scenario_grid", diverging_grid)
-        code = smoke.main(["--executor", "batched", "--executor", "vectorized"])
+        code = smoke.main(["--executor", "vectorized"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "batched" in err and "vectorized" in err
+        assert "vectorized" in err
 
     def test_consistent_executors_exit_zero(self, smoke, monkeypatch):
         monkeypatch.setattr(
@@ -93,7 +94,7 @@ class TestSmokeScenarioGrid:
                 functions, scenarios
             ),
         )
-        code = smoke.main(["--executor", "batched"])
+        code = smoke.main(["--executor", "vectorized"])
         assert code == 0
 
     def test_no_comparison_executor_is_usage_error(self, smoke):
@@ -104,8 +105,7 @@ class TestSmokeScenarioGrid:
         # target plus the degenerate-twin check against the fixed-count run.
         code = smoke.main(
             ["--iterations", "40", "--trials", "1",
-             "--executor", "batched", "--executor", "vectorized",
-             "--budget", "adaptive"]
+             "--executor", "vectorized", "--budget", "adaptive"]
         )
         assert code == 0
 
@@ -143,6 +143,13 @@ class TestReproduceFiguresBudgetFlags:
             figures.main(
                 ["--grid", "--budget", "adaptive", "--budget-half-width", "-1"]
             )
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["--executor", "process"], ["--workers", "4"]])
+    def test_removed_executor_flags_are_usage_errors(self, figures, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            figures.main(argv)
         assert excinfo.value.code == 2
         capsys.readouterr()
 
@@ -494,6 +501,18 @@ class TestRunSearch:
         )
         assert code == 2
         assert "NoSuchSeries" in capsys.readouterr().err
+
+
+class TestCliRegistryChoices:
+    @pytest.mark.parametrize("script", ["run_campaign", "run_search"])
+    def test_pool_and_executor_choices_mirror_the_registries(self, script):
+        actions = {
+            action.dest: action
+            for action in load_script(script).build_parser()._actions
+        }
+        assert list(actions["pool"].choices) == list_pools()
+        assert actions["pool"].default == "serial"
+        assert list(actions["executor"].choices) == list_executors()
 
 
 @pytest.fixture(scope="module")

@@ -90,7 +90,7 @@ class TestProbeRunner:
         assert reused.values == answered.values
         assert second.stats["computed"] == 0
 
-    @pytest.mark.parametrize("pool", ["serial", "thread"])
+    @pytest.mark.parametrize("pool", ["serial", "process"])
     def test_pool_choice_never_changes_values(
         self, tmp_path, sorting_functions, pool
     ):

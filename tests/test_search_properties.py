@@ -7,7 +7,7 @@ Three layers of evidence for the bisector's contract:
   count never exceeds the ``2 + ceil(log2(range / tol))`` bound, and the
   probe sequence is a deterministic function of the curve and config.
 * **Pool and resume-point invariance** — running the same bisection through
-  serial/thread/process probe pools, or interrupting it after any prefix of
+  serial/process probe pools, or interrupting it after any prefix of
   computed probes and re-running, yields bit-identical probe values and the
   identical crossing.
 * **Stateful crash/resume** — a :class:`RuleBasedStateMachine` in the style
@@ -113,7 +113,7 @@ class TestBisectionProperties:
 
 
 class TestPoolAndResumeInvariance:
-    @pytest.mark.parametrize("pool", ["thread", "process"])
+    @pytest.mark.parametrize("pool", ["process"])
     def test_pools_reproduce_the_serial_crossing(self, tmp_path, pool):
         driver = CriticalVoltageBisector(tolerance=0.1)
         reference = driver.run(make_runner(tmp_path / "serial"))
