@@ -163,14 +163,14 @@ def bench_path(output_dir: Path, name: str, backend) -> Path:
 
 
 def warm_up(backend, spec: kernels.KernelSpec | None = None) -> float:
-    """One untimed warm-up: compile/JIT cost never enters measured wall time.
+    """One untimed warm-up: compile cost never enters measured wall time.
 
     Probing the kernel table triggers any one-time backend compilation (the
     cnative tier builds its C module on first load); a floor-scale build of
-    the kernel under the timed executor then exercises every kernel-specific
-    JIT specialization a just-in-time tier would otherwise pay for inside
-    the first timed run.  Returns the seconds the warm-up itself took, which
-    the caller records as ``warmup_seconds``.  The reference tier provides
+    the kernel under the timed executor then pays any remaining first-call
+    cost that would otherwise land inside the first timed run.  Returns the
+    seconds the warm-up itself took, which the caller records as
+    ``warmup_seconds``.  The reference tier provides
     no kernels and warms up for free.
     """
     start = time.perf_counter()

@@ -165,7 +165,6 @@ def batchable(run_batch: Callable) -> Callable:
     stream per trial — constructed exactly as the serial path constructs
     them — and returns one metric value per trial.  The implementation must
     corrupt each trial's data with that trial's own generator (see
-    :func:`repro.faults.vectorized.corrupt_batch` and
     :class:`repro.processor.batch.ProcessorBatch`) so that the batched result
     stays bit-identical to serial execution.
 

@@ -14,12 +14,11 @@ custom ``run_batch``).
 
 The layering, bottom to top:
 
-``repro.faults.vectorized.batch_fault_masks``
-    Draws per-trial fault masks and bit positions for a whole trial tensor,
-    consuming each trial's generator in the serial draw order.
 ``repro.processor.batch.ProcessorBatch``
-    The batched substrate: fused corruption over stacked tensors plus the
-    row-wise noisy linear-algebra primitives, with per-trial accounting.
+    The batched substrate: fused corruption over stacked tensors — each
+    trial's generator consumed in the serial draw order of
+    ``repro.faults.vectorized.corrupt_array`` — plus the row-wise noisy
+    linear-algebra primitives, with per-trial accounting.
 ``repro.optimizers.sgd.stochastic_gradient_descent_batch`` /
 ``repro.core.transform.solve_penalized_lp_batch``
     Batched solver drivers (scheduled iterations as one tensor loop;

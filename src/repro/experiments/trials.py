@@ -4,8 +4,9 @@ These microworkloads exercise the engine's executors without dragging in a
 full application solve.  :func:`make_noisy_sum_trial` additionally carries a
 vectorized batch implementation (via
 :func:`~repro.experiments.kernels.batchable`) that routes whole trial
-batches through :func:`repro.faults.vectorized.corrupt_batch`, making it the
-reference workload for vectorized-executor equivalence tests and benchmarks.
+batches through :meth:`repro.processor.batch.ProcessorBatch.corrupt`, making
+it the reference workload for vectorized-executor equivalence tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.experiments.kernels import batchable
 from repro.experiments.spec import TrialFunction
-from repro.faults.vectorized import corrupt_batch
+from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["make_noisy_sum_trial", "make_gradient_descent_trial"]
@@ -28,10 +29,10 @@ def make_noisy_sum_trial(n: int = 256, ops_per_element: int = 8) -> TrialFunctio
     The serial path draws a vector from the trial stream, corrupts it on the
     processor, and returns the sum.  The attached batch implementation stacks
     every trial of the batch and corrupts the whole stack in one
-    :func:`corrupt_batch` pass — using each trial's own generator and fault
-    rate in the same order as the serial path, so results are bit-identical
-    whether a batch holds one (series, rate) cell or a whole series across
-    the rate grid.  A batch whose
+    :meth:`ProcessorBatch.corrupt` pass — using each trial's own generator
+    and fault rate in the same order as the serial path, so values and every
+    processor counter are bit-identical whether a batch holds one (series,
+    rate) cell or a whole series across the rate grid.  A batch whose
     processors mix datapath dtypes cannot share the fused cast and falls back
     to per-trial serial execution (still bit-identical).
     """
@@ -42,25 +43,15 @@ def make_noisy_sum_trial(n: int = 256, ops_per_element: int = 8) -> TrialFunctio
         if len({proc.dtype for proc in procs}) != 1:
             # A stacked tensor has one dtype, so a batch mixing datapath
             # precisions (e.g. float32 and float64 fault models) cannot share
-            # the fused cast below — casting everything with procs[0].dtype
-            # would silently mis-simulate the other trials.  Fall back to the
-            # serial per-trial path, which casts each trial with its own
-            # processor's dtype and is bit-identical by definition.
+            # the fused cast of ProcessorBatch, which rejects such a batch.
+            # Fall back to the serial per-trial path, which casts each trial
+            # with its own processor's dtype and is bit-identical by
+            # definition.
             return [trial(proc, stream) for proc, stream in zip(procs, streams)]
+        batch = ProcessorBatch(procs)
         stacked = np.stack([stream.random(n) for stream in streams])
-        with np.errstate(over="ignore", invalid="ignore"):
-            stacked = stacked.astype(procs[0].dtype)
-        corrupted, faults_per_trial = corrupt_batch(
-            stacked,
-            fault_rate=[proc.fault_rate for proc in procs],
-            ops_per_element=ops_per_element,
-            bit_distribution=[proc.injector.bit_distribution for proc in procs],
-            rngs=[proc.injector.rng for proc in procs],
-        )
-        for proc in procs:
-            proc.count_flops(ops_per_element * n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = corrupted.astype(np.float64)
+        rows = batch.corrupt(stacked, ops_per_element=ops_per_element)
+        batch.flush()
         return [float(np.sum(row)) for row in rows]
 
     @batchable(run_batch)

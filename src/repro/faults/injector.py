@@ -260,7 +260,7 @@ class FaultInjector:
         """Fold one batched corruption pass into this injector's counters.
 
         The tensorized trial backend corrupts whole trial stacks with
-        :func:`repro.faults.vectorized.corrupt_batch`-style kernels using this
+        :meth:`repro.processor.batch.ProcessorBatch.corrupt`, using this
         injector's generator and bit distribution directly; this hook keeps
         the per-injector operation and fault statistics identical to what the
         per-trial :meth:`corrupt_array` path would have recorded.

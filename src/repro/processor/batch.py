@@ -15,7 +15,7 @@ serial path would compute for trial ``t`` alone:
 * arithmetic is elementwise or a last-axis reduction, both of which numpy
   evaluates independently per row;
 * random draws come from each trial's own generator in the serial draw order
-  (see :func:`repro.faults.vectorized.batch_fault_masks`), and a trial whose
+  (see :func:`repro.faults.vectorized.corrupt_array`), and a trial whose
   fault rate is zero draws nothing;
 * FLOP and fault counters on each wrapped processor advance exactly as the
   per-trial :meth:`StochasticProcessor.corrupt` calls would have advanced
@@ -32,8 +32,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.faults.bitflip import flip_bit_array
-from repro.faults.vectorized import batch_fault_masks, effective_fault_probability
+from repro.faults.vectorized import effective_fault_probability
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["ProcessorBatch", "batch_sub", "batch_scale", "batch_matvec"]
@@ -146,18 +145,26 @@ class ProcessorBatch:
         datapath precision, same random draws from the trial's own injector
         generator, same counter updates — but the conversion, threshold
         comparison, and bit-flip passes are fused across the stack.
+
+        ``stacked`` must be at least 2-D (every trial row holds an array) and
+        ``ops_per_element`` must be one integer shared by every element; an
+        element-dependent FLOP count goes through the per-processor
+        :meth:`StochasticProcessor.corrupt` instead.
         """
         arr = np.asarray(stacked, dtype=np.float64)
-        if arr.ndim < 1 or arr.shape[0] != len(self.procs):
+        if arr.ndim < 2 or arr.shape[0] != len(self.procs):
             raise ValueError(
                 f"stacked tensor has shape {arr.shape}; expected leading "
-                f"dimension {len(self.procs)} (one row per trial)"
+                f"dimension {len(self.procs)} (one row per trial) and at "
+                "least one element axis"
             )
-        row_shape = arr.shape[1:]
         ops = np.asarray(ops_per_element)
-        if ops.ndim != 0 or not row_shape:
-            return self._corrupt_general(arr, ops)
-        row_size = int(np.prod(row_shape, dtype=np.int64))
+        if ops.ndim != 0:
+            raise ValueError(
+                "ops_per_element must be a scalar shared by every element; "
+                f"got an array of shape {ops.shape}"
+            )
+        row_size = int(np.prod(arr.shape[1:], dtype=np.int64))
         per_trial_ops = int(ops) * row_size
 
         if self._batch_kernel is not None:
@@ -174,14 +181,15 @@ class ProcessorBatch:
                 return native.astype(np.float64)
 
         # NOTE: this fast path re-implements the serial draw protocol of
-        # corrupt_array / batch_fault_masks (uniform mask first, then exactly
-        # n_faults bit positions, nothing at rate zero) with reusable buffers
-        # and a compact index-based flip.  The three copies must stay in
-        # lockstep — the equivalence tests in tests/test_tensor_backend.py
-        # pin them to each other.  Bit positions come from the stock
-        # inverse-CDF sampler (guaranteed in [0, width) by construction,
-        # which is why the compact XOR can skip flip_bit_array's range
-        # check); custom distributions take the per-trial sample() branch.
+        # corrupt_array (uniform mask first, then exactly n_faults bit
+        # positions, nothing at rate zero) with reusable buffers and a compact
+        # index-based flip.  The two copies must stay in lockstep — the
+        # equivalence tests in tests/test_tensor_backend.py and
+        # tests/test_engine.py pin them to each other.  Bit positions come
+        # from the stock inverse-CDF sampler (guaranteed in [0, width) by
+        # construction, which is why the compact XOR can skip
+        # flip_bit_array's range check); custom distributions take the
+        # per-trial sample() branch.
         uniforms, mask, native = self._workspace(arr.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             np.copyto(native, arr, casting="unsafe")
@@ -249,25 +257,6 @@ class ProcessorBatch:
             proc.record_vectorized(self._pending_ops, int(faults))
         self._pending_ops = 0
         self._pending_faults[:] = 0
-
-    def _corrupt_general(self, arr: np.ndarray, ops: np.ndarray) -> np.ndarray:
-        """Reference path for element-dependent FLOP counts (rare in the hot loop)."""
-        row_shape = arr.shape[1:]
-        ops = np.broadcast_to(ops, row_shape) if ops.ndim != 0 else ops
-        per_trial_ops = (
-            int(np.sum(ops)) if ops.ndim != 0 else int(ops) * int(np.prod(row_shape, dtype=np.int64))
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            native = arr.astype(self.dtype)
-        fault_mask, bit_positions, faults_per_trial = batch_fault_masks(
-            native.shape, self._rates, ops, self._distributions, self._rngs
-        )
-        for proc, n_faults in zip(self.procs, faults_per_trial):
-            proc.record_vectorized(per_trial_ops, int(n_faults))
-        if faults_per_trial.any():
-            native = flip_bit_array(native, bit_positions, mask=fault_mask)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return native.astype(np.float64)
 
     def _workspace(self, shape) -> tuple:
         """Reusable (uniforms, mask, native) buffers for one tensor shape."""

@@ -17,8 +17,7 @@ from repro.experiments.results import FigureResult, SeriesResult
 from repro.experiments.runner import run_fault_rate_sweep
 from repro.experiments.spec import SweepSpec, TrialSpec, run_trial
 from repro.experiments.trials import make_gradient_descent_trial, make_noisy_sum_trial
-from repro.faults.distribution import EmulatedBitDistribution
-from repro.faults.vectorized import corrupt_array, corrupt_batch
+from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
 
@@ -163,37 +162,48 @@ class TestExecutors:
 
 class TestCorruptBatch:
     @given(
-        n_trials=st.integers(min_value=1, max_value=5),
+        rates=st.lists(
+            st.sampled_from([0.0, 0.01, 0.2, 0.9]), min_size=1, max_size=5
+        ),
         n=st.integers(min_value=1, max_value=40),
-        fault_rate=st.sampled_from([0.0, 0.01, 0.2, 0.9]),
         ops=st.integers(min_value=1, max_value=16),
+        fault_model=st.sampled_from(["leon3-fpu", "double-precision"]),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_matches_per_trial_corrupt_array(self, n_trials, n, fault_rate, ops, seed):
-        """The fused batch kernel equals per-trial corruption bit-for-bit."""
-        distribution = EmulatedBitDistribution(width=32)
-        workload = np.random.default_rng(seed)
-        stacked = workload.random((n_trials, n)).astype(np.float32)
-        batch_rngs = [np.random.default_rng([seed, t]) for t in range(n_trials)]
-        serial_rngs = [np.random.default_rng([seed, t]) for t in range(n_trials)]
-        batched, faults = corrupt_batch(
-            stacked, fault_rate, ops, distribution, batch_rngs
-        )
-        for t in range(n_trials):
-            row, n_faults = corrupt_array(
-                stacked[t], fault_rate, ops, distribution, serial_rngs[t]
-            )
-            np.testing.assert_array_equal(batched[t], row)
-            assert faults[t] == n_faults
+    def test_matches_per_trial_corrupt_array(self, rates, n, ops, fault_model, seed):
+        """ProcessorBatch.corrupt equals each processor's own corrupt_array pass.
 
-    def test_rng_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="generators"):
-            corrupt_batch(
-                np.ones((2, 3), dtype=np.float32),
-                0.1,
-                1,
-                EmulatedBitDistribution(width=32),
-                [np.random.default_rng(0)],
+        Row ``t`` must match ``procs[t].corrupt`` bit for bit (compared as
+        unsigned views, so NaN payloads count), and every counter and
+        generator must end in the same state.
+        """
+
+        def procs():
+            return [
+                StochasticProcessor(
+                    fault_rate=rate,
+                    fault_model=fault_model,
+                    rng=np.random.default_rng([seed, t]),
+                )
+                for t, rate in enumerate(rates)
+            ]
+
+        stacked = np.random.default_rng(seed).standard_normal((len(rates), n))
+        serial_procs, batch_procs = procs(), procs()
+        batch = ProcessorBatch(batch_procs)
+        batched = batch.corrupt(stacked, ops_per_element=ops)
+        batch.flush()
+        for t, (serial, batched_proc) in enumerate(zip(serial_procs, batch_procs)):
+            row = serial.corrupt(stacked[t], ops_per_element=ops)
+            np.testing.assert_array_equal(
+                batched[t].view(np.uint64), row.view(np.uint64)
+            )
+            assert batched_proc.flops == serial.flops
+            assert batched_proc.faults_injected == serial.faults_injected
+            assert batched_proc.injector.ops_observed == serial.injector.ops_observed
+            assert (
+                batched_proc.injector.rng.bit_generator.state
+                == serial.injector.rng.bit_generator.state
             )
 
 

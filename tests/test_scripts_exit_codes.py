@@ -514,6 +514,12 @@ class TestCliRegistryChoices:
         assert actions["pool"].default == "serial"
         assert list(actions["executor"].choices) == list_executors()
 
+    def test_bench_all_rejects_unregistered_backend(self, monkeypatch):
+        bench_all = load_script("bench_all")
+        monkeypatch.setattr(sys, "argv", ["bench_all.py", "--backend", "no-such-tier"])
+        with pytest.raises(SystemExit, match="registered backends"):
+            bench_all.main()
+
 
 @pytest.fixture(scope="module")
 def prune_cli():

@@ -9,6 +9,7 @@ fault rates (including zero).  These tests pin that contract at each layer.
 
 import numpy as np
 import pytest
+from conftest import backend_param
 
 from repro.applications.eigen import robust_eigenpairs, robust_eigenpairs_batch
 from repro.applications.iir import robust_iir_filter, robust_iir_filter_batch
@@ -43,6 +44,7 @@ from repro.applications.svm import (
     robust_svm_train_sgd,
     robust_svm_train_sgd_batch,
 )
+from repro.backends import use_backend
 from repro.core.variants import sgd_options_for_variant
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import AutoExecutor, VectorizedExecutor
@@ -61,8 +63,6 @@ from repro.experiments.kernels import (
 from repro.experiments.spec import SweepSpec
 from repro.experiments.tensor import make_trial_batch, run_tensor_cell
 from repro.experiments.trials import make_noisy_sum_trial
-from repro.faults.distribution import EmulatedBitDistribution
-from repro.faults.vectorized import corrupt_array, corrupt_batch
 from repro.optimizers.conjugate_gradient import CGOptions
 from repro.optimizers.problem import QuadraticProblem
 from repro.optimizers.sgd import (
@@ -85,30 +85,6 @@ from repro.workloads.signals import random_stable_iir, sum_of_sinusoids
 from tests.strategies import MIXED_RATES, make_procs, sorting_sweep
 
 
-class TestCorruptBatchMixedRates:
-    def test_per_trial_rates_match_corrupt_array(self):
-        """corrupt_batch with one rate per row equals per-trial corruption."""
-        distribution = EmulatedBitDistribution(width=32)
-        stacked = np.random.default_rng(3).random((len(MIXED_RATES), 64)).astype(np.float32)
-        batch_rngs = [np.random.default_rng([5, t]) for t in range(len(MIXED_RATES))]
-        serial_rngs = [np.random.default_rng([5, t]) for t in range(len(MIXED_RATES))]
-        batched, faults = corrupt_batch(stacked, MIXED_RATES, 4, distribution, batch_rngs)
-        for t, rate in enumerate(MIXED_RATES):
-            row, n_faults = corrupt_array(stacked[t], rate, 4, distribution, serial_rngs[t])
-            np.testing.assert_array_equal(batched[t], row)
-            assert faults[t] == n_faults
-
-    def test_rate_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="fault rates"):
-            corrupt_batch(
-                np.ones((3, 4), dtype=np.float32),
-                [0.1, 0.2],
-                1,
-                EmulatedBitDistribution(width=32),
-                [np.random.default_rng(t) for t in range(3)],
-            )
-
-
 class TestProcessorBatch:
     def test_corrupt_matches_per_trial_corrupt(self):
         """ProcessorBatch.corrupt row t == procs[t].corrupt, values and counters."""
@@ -125,19 +101,17 @@ class TestProcessorBatch:
             assert batch_proc.flops == serial_proc.flops
             assert batch_proc.faults_injected == serial_proc.faults_injected
 
-    def test_corrupt_elementwise_ops_array(self):
-        """The general path (per-element FLOP counts) is also bit-identical."""
-        ops = np.arange(1, 13).reshape(3, 4)
-        workload = np.random.default_rng(2).standard_normal((len(MIXED_RATES), 3, 4))
-        serial_procs, batch_procs = make_procs(), make_procs()
-        expected = np.stack(
-            [proc.corrupt(workload[t], ops_per_element=ops) for t, proc in enumerate(serial_procs)]
-        )
-        batch = ProcessorBatch(batch_procs)
-        actual = batch.corrupt(workload, ops_per_element=ops)
-        batch.flush()
-        np.testing.assert_array_equal(actual, expected)
-        assert [p.flops for p in batch_procs] == [p.flops for p in serial_procs]
+    def test_corrupt_rejects_ops_array(self):
+        """Element-dependent FLOP counts belong on the per-processor path."""
+        batch = ProcessorBatch(make_procs())
+        workload = np.zeros((len(MIXED_RATES), 3, 4))
+        with pytest.raises(ValueError, match="ops_per_element must be a scalar"):
+            batch.corrupt(workload, ops_per_element=np.arange(1, 13).reshape(3, 4))
+
+    def test_corrupt_rejects_1d_stack(self):
+        batch = ProcessorBatch(make_procs())
+        with pytest.raises(ValueError, match="element axis"):
+            batch.corrupt(np.zeros(len(MIXED_RATES)))
 
     def test_batch_primitives_match_noisy_ops(self):
         from repro.linalg.ops import noisy_matvec, noisy_sub
@@ -567,6 +541,40 @@ class TestNewlyBatchedKernelSweeps:
             vectorized = ExperimentEngine("vectorized").run_sweep(fast_sweep)
             assert [s.values for s in vectorized] == [s.values for s in serial]
             assert [s.name for s in vectorized] == [s.name for s in serial]
+
+
+class TestNoisySumBatchAccounting:
+    """Regression: the noisy-sum batch path recorded FLOPs but no faults.
+
+    It corrupted the stack outside the processors, so every processor
+    reported ``faults_injected == 0`` and ``injector.ops_observed == 0``
+    while the values still matched.  Each row must now equal the serial
+    path in value and in every counter.
+    """
+
+    @pytest.mark.parametrize("backend", [backend_param("numpy"), backend_param("cnative")])
+    def test_values_and_counters_match_serial(self, backend):
+        trial = make_noisy_sum_trial(n=64, ops_per_element=4)
+        rates = [rate for rate in (0.0, 0.05, 0.3) for _ in range(2)]
+
+        def run(batched):
+            with use_backend(backend):
+                procs = make_procs(rates)
+                streams = [np.random.default_rng([3, t]) for t in range(len(rates))]
+                if batched:
+                    values = trial.run_batch(procs, streams)
+                else:
+                    values = [trial(proc, stream) for proc, stream in zip(procs, streams)]
+            return values, procs
+
+        serial_values, serial_procs = run(batched=False)
+        batch_values, batch_procs = run(batched=True)
+        assert batch_values == serial_values
+        assert sum(proc.faults_injected for proc in serial_procs) > 0
+        for serial, batched in zip(serial_procs, batch_procs):
+            assert batched.flops == serial.flops
+            assert batched.faults_injected == serial.faults_injected
+            assert batched.injector.ops_observed == serial.injector.ops_observed
 
 
 class TestMixedDtypeBatches:
