@@ -50,8 +50,8 @@ from repro.processor import (
 from repro.optimizers import (
     SGDOptions,
     CGOptions,
-    stochastic_gradient_descent,
-    conjugate_gradient_least_squares,
+    stochastic_gradient_descent_batch,
+    conjugate_gradient_least_squares_batch,
     ExactPenaltyProblem,
     PenaltyKind,
     LinearProgram,
@@ -68,7 +68,7 @@ from repro.core import (
     robustify,
     RobustApplication,
     RobustSolveConfig,
-    solve_penalized_lp,
+    solve_penalized_lp_batch,
     to_penalty_form,
     list_applications,
     get_variant,
@@ -103,8 +103,8 @@ __all__ = [
     # Optimizers
     "SGDOptions",
     "CGOptions",
-    "stochastic_gradient_descent",
-    "conjugate_gradient_least_squares",
+    "stochastic_gradient_descent_batch",
+    "conjugate_gradient_least_squares_batch",
     "ExactPenaltyProblem",
     "PenaltyKind",
     "LinearProgram",
@@ -120,7 +120,7 @@ __all__ = [
     "robustify",
     "RobustApplication",
     "RobustSolveConfig",
-    "solve_penalized_lp",
+    "solve_penalized_lp_batch",
     "to_penalty_form",
     "list_applications",
     "get_variant",

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
-from repro.linalg.ops import noisy_matvec
 from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
@@ -58,24 +57,18 @@ def robust_top_eigenpair(
     reliable normalization; non-finite components are zeroed by the control
     phase.  This is stochastic power iteration — exactly the kind of
     iterative refinement the paper argues tolerates unbiased FPU noise.
+
+    Unlike :func:`robust_eigenpairs`, ``eigenvalue_error`` compares the
+    Rayleigh quotient with the exact eigenvalue of largest magnitude, sign
+    included.
     """
     M_arr = np.asarray(M, dtype=np.float64)
     _validate_eigen_matrix(M_arr, iterations)
-    n = M_arr.shape[0]
     generator = rng if rng is not None else np.random.default_rng(0)
-
+    batch = ProcessorBatch([proc])
     flops_before, faults_before = proc.flops, proc.faults_injected
-    x = generator.standard_normal(n)
-    x /= np.linalg.norm(x)
-    for _ in range(iterations):
-        y = noisy_matvec(proc, M_arr, x)
-        y = np.where(np.isfinite(y), y, 0.0)
-        norm = np.linalg.norm(y)
-        if norm <= np.finfo(float).tiny:
-            # Restart from a fresh random direction (reliable control phase).
-            y = generator.standard_normal(n)
-            norm = np.linalg.norm(y)
-        x = y / norm
+    x = _power_iterations(M_arr[np.newaxis], batch, [generator], iterations)[0]
+    batch.flush()  # deferred batched accounting -> processor counters
     eigenvalue = float(x @ M_arr @ x)
 
     exact_values, exact_vectors = np.linalg.eigh(M_arr)
@@ -104,29 +97,52 @@ def robust_eigenpairs(
 
     After each pair ``(λ, v)`` is found, the matrix is deflated to
     ``M − λ v vᵀ`` (reliable control phase) and the procedure repeats, as
-    described in §4.7.
+    described in §4.7.  Each pair's ``eigenvalue_error`` compares ``|λ|``
+    with the original matrix's ``k``-th largest eigenvalue magnitude.
     """
-    M_arr = np.asarray(M, dtype=np.float64).copy()
-    if k < 1 or k > M_arr.shape[0]:
-        raise ProblemSpecificationError(
-            f"k must be between 1 and {M_arr.shape[0]}, got {k}"
-        )
-    generator = rng if rng is not None else np.random.default_rng(0)
-    results: List[EigenResult] = []
-    deflated = M_arr.copy()
-    for index in range(k):
-        result = robust_top_eigenpair(deflated, proc, iterations=iterations, rng=generator)
-        # Score against the original matrix's spectrum rather than the deflated one.
-        exact_values = np.sort(np.abs(np.linalg.eigvalsh(M_arr)))[::-1]
-        target = float(exact_values[index])
-        result.eigenvalue_error = abs(abs(result.eigenvalue) - target) / max(target, 1e-30)
-        results.append(result)
-        deflated = deflated - result.eigenvalue * np.outer(result.eigenvector, result.eigenvector)
-    return results
+    rngs = None if rng is None else [rng]
+    return robust_eigenpairs_batch(M, k, [proc], iterations=iterations, rngs=rngs)[0]
+
+
+def _power_iterations(
+    matrices: np.ndarray,
+    batch: ProcessorBatch,
+    generators: Sequence[np.random.Generator],
+    iterations: int,
+) -> np.ndarray:
+    """Stochastic power iteration, one trial per row; returns unit iterates.
+
+    ``matrices`` is a per-trial ``(n_trials, n, n)`` stack.  The noisy
+    matrix-vector product — elementwise products and row-sum accumulations,
+    each corrupted once for the whole batch — is the only corruptible work;
+    the reliable control phase (zeroing non-finite components,
+    normalization, random restarts from the trial's own stream) runs per
+    trial.  Call ``batch.flush()`` before reading the processors' counters.
+    """
+    n_trials, n = matrices.shape[0], matrices.shape[1]
+    tiny = np.finfo(float).tiny
+    X = np.empty((n_trials, n))
+    for trial, generator in enumerate(generators):
+        x = generator.standard_normal(n)
+        X[trial] = x / np.linalg.norm(x)
+    for _ in range(iterations):
+        products = batch.corrupt(matrices * X[:, np.newaxis, :], ops_per_element=1)
+        Y = batch.corrupt(products.sum(axis=2), ops_per_element=max(n - 1, 1))
+        Y = np.where(np.isfinite(Y), Y, 0.0)
+        for trial in range(n_trials):
+            y = Y[trial]
+            norm = np.linalg.norm(y)
+            if norm <= tiny:
+                # Restart from a fresh random direction (reliable control
+                # phase), from this trial's own stream.
+                y = generators[trial].standard_normal(n)
+                norm = np.linalg.norm(y)
+            X[trial] = y / norm
+    return X
 
 
 def _validate_eigen_matrix(M_arr: np.ndarray, iterations: int) -> None:
-    """The :func:`robust_top_eigenpair` argument checks, shared with the batch path."""
+    """Argument checks of the eigenpair solvers (square, symmetric, iterations ≥ 1)."""
     n = M_arr.shape[0]
     if M_arr.shape != (n, n):
         raise ProblemSpecificationError(f"expected a square matrix, got {M_arr.shape}")
@@ -145,22 +161,17 @@ def robust_eigenpairs_batch(
 ) -> List[List[EigenResult]]:
     """Run one :func:`robust_eigenpairs` computation per processor, batched.
 
-    The batch entry point of the tensorized trial backend for the §4.7
-    eigenpair kernel.  Every trial's power iteration advances together: the
-    noisy matrix-vector product — the only corruptible work of the serial
-    loop — is evaluated for the whole stack with one fused corruption pass
-    per iteration (row ``t`` drawn from trial ``t``'s own generator in
-    serial order, see :class:`~repro.processor.batch.ProcessorBatch`), while
-    the reliable control phase (zeroing non-finite components,
-    normalization, random restarts from the trial's own stream) runs per
-    trial.  Deflation makes the iterated matrix *per trial* after the first
-    pair, so the stacked product uses each trial's own deflated matrix.
+    Every trial's power iteration advances together (:func:`_power_iterations`):
+    the noisy matrix-vector product is evaluated for the whole stack with
+    one fused corruption pass per iteration, each row drawn from its trial's
+    own generator (see :class:`~repro.processor.batch.ProcessorBatch`).
+    Deflation makes the iterated matrix *per trial* after the first pair, so
+    the stacked product uses each trial's own deflated matrix.
 
-    ``rngs`` supplies one private random stream per trial (defaulting, like
-    the serial path, to ``np.random.default_rng(0)`` each).  Trial ``t``'s
-    result list is bit-identical — eigenpairs, errors, and FLOP/fault
-    counters — to ``robust_eigenpairs(M, k, procs[t], iterations,
-    rngs[t])``.
+    ``rngs`` supplies one private random stream per trial (defaulting to
+    ``np.random.default_rng(0)`` each).  Trial ``t``'s result list —
+    eigenpairs, errors, and FLOP/fault counters — equals
+    ``robust_eigenpairs(M, k, procs[t], iterations, rngs[t])``.
     """
     M_arr = np.asarray(M, dtype=np.float64).copy()
     _validate_eigen_matrix(M_arr, iterations)
@@ -179,7 +190,6 @@ def robust_eigenpairs_batch(
                 f"{len(generators)} streams for a batch of {n_trials} trials"
             )
     n = M_arr.shape[0]
-    tiny = np.finfo(float).tiny
     exact_magnitudes = np.sort(np.abs(np.linalg.eigvalsh(M_arr)))[::-1]
     deflated = np.broadcast_to(M_arr, (n_trials, n, n)).copy()
     outcomes: List[List[EigenResult]] = [[] for _ in range(n_trials)]
@@ -191,30 +201,11 @@ def robust_eigenpairs_batch(
         flops_before = [proc.flops for proc in batch.procs]
         faults_before = [proc.faults_injected for proc in batch.procs]
 
-        X = np.empty((n_trials, n))
-        for trial, generator in enumerate(generators):
-            x = generator.standard_normal(n)
-            X[trial] = x / np.linalg.norm(x)
-        for _ in range(iterations):
-            # The stacked twin of noisy_matvec, with a per-trial matrix: the
-            # elementwise products and the row-sum accumulations are each
-            # corrupted once for the whole batch.
-            products = batch.corrupt(deflated * X[:, np.newaxis, :], ops_per_element=1)
-            Y = batch.corrupt(products.sum(axis=2), ops_per_element=max(n - 1, 1))
-            Y = np.where(np.isfinite(Y), Y, 0.0)
-            for trial in range(n_trials):
-                y = Y[trial]
-                norm = np.linalg.norm(y)
-                if norm <= tiny:
-                    # Restart from a fresh random direction (reliable control
-                    # phase), from this trial's own stream.
-                    y = generators[trial].standard_normal(n)
-                    norm = np.linalg.norm(y)
-                X[trial] = y / norm
+        X = _power_iterations(deflated, batch, generators, iterations)
         batch.flush()  # deferred batched accounting -> per-processor counters
 
         # Score against the original matrix's spectrum rather than the
-        # deflated one, exactly as robust_eigenpairs does.
+        # deflated one.
         target = float(exact_magnitudes[index])
         for trial, proc in enumerate(batch.procs):
             x = X[trial]

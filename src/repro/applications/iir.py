@@ -41,11 +41,7 @@ import numpy as np
 from repro.exceptions import ProblemSpecificationError
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import UnconstrainedProblem
-from repro.optimizers.sgd import (
-    SGDOptions,
-    stochastic_gradient_descent,
-    stochastic_gradient_descent_batch,
-)
+from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent_batch
 from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
@@ -153,51 +149,35 @@ def build_banded_matrices(filt: IIRFilter, length: int) -> Tuple[np.ndarray, np.
     return A, B
 
 
-def _banded_matvec(
-    coeffs: np.ndarray, signal: np.ndarray, proc: Optional[StochasticProcessor]
-) -> np.ndarray:
-    """``y[t] = Σ_i coeffs[i] · signal[t-i]`` via convolution.
-
-    When a processor is supplied each output sample is corrupted with the
-    effective probability of its ``2·len(coeffs) − 1`` constituent FLOPs.
-    """
-    result = np.convolve(signal, coeffs)[: signal.size]
-    if proc is None:
-        return result
-    return proc.corrupt(result, ops_per_element=2 * coeffs.size - 1)
+def _banded_matvec(coeffs: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """``y[t] = Σ_i coeffs[i] · signal[t-i]`` via convolution (exact)."""
+    return np.convolve(signal, coeffs)[: signal.size]
 
 
-def _banded_rmatvec(
-    coeffs: np.ndarray, residual: np.ndarray, proc: Optional[StochasticProcessor]
-) -> np.ndarray:
+def _banded_rmatvec(coeffs: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Transpose product ``(Bᵀ r)[k] = Σ_j coeffs[j] · r[k+j]`` via correlation."""
     length = residual.size
-    result = np.convolve(residual[::-1], coeffs)[:length][::-1]
-    if proc is None:
-        return result
-    return proc.corrupt(result, ops_per_element=2 * coeffs.size - 1)
+    return np.convolve(residual[::-1], coeffs)[:length][::-1]
 
 
 def _banded_matvec_batch(
     coeffs: np.ndarray, signals: np.ndarray, batch: ProcessorBatch
 ) -> np.ndarray:
-    """Row-wise :func:`_banded_matvec` over a stacked ``(n_trials, n)`` signal.
+    """Row-wise noisy :func:`_banded_matvec` over a stacked ``(n_trials, n)`` signal.
 
-    Each row's convolution is the exact serial ``np.convolve`` call (so the
-    floats match bit for bit); only the corruption pass is fused across the
-    stack.
+    Each row's convolution is its own ``np.convolve`` call, so a row's floats
+    do not depend on the other rows; each output sample is corrupted with
+    the effective probability of its ``2·len(coeffs) − 1`` constituent FLOPs.
     """
-    n = signals.shape[1]
-    stacked = np.stack([np.convolve(row, coeffs)[:n] for row in signals])
+    stacked = np.stack([_banded_matvec(coeffs, row) for row in signals])
     return batch.corrupt(stacked, ops_per_element=2 * coeffs.size - 1)
 
 
 def _banded_rmatvec_batch(
     coeffs: np.ndarray, residuals: np.ndarray, batch: ProcessorBatch
 ) -> np.ndarray:
-    """Row-wise :func:`_banded_rmatvec` over stacked residuals."""
-    n = residuals.shape[1]
-    stacked = np.stack([np.convolve(row[::-1], coeffs)[:n][::-1] for row in residuals])
+    """Row-wise noisy :func:`_banded_rmatvec` over stacked residuals."""
+    stacked = np.stack([_banded_rmatvec(coeffs, row) for row in residuals])
     return batch.corrupt(stacked, ops_per_element=2 * coeffs.size - 1)
 
 
@@ -217,40 +197,25 @@ class IIRVariationalProblem(UnconstrainedProblem):
             gradient_batch=self._gradient_batch,
         )
 
-    def _residual(
-        self, x: np.ndarray, proc: Optional[StochasticProcessor]
-    ) -> np.ndarray:
-        Bx = _banded_matvec(self.filter.feedback, x, proc)
-        Au = _banded_matvec(self.filter.feedforward, self.u, proc)
-        if proc is None:
-            return Bx - Au
-        return proc.corrupt(Bx - Au, ops_per_element=1)
+    def _residual(self, x: np.ndarray) -> np.ndarray:
+        Bx = _banded_matvec(self.filter.feedback, x)
+        Au = _banded_matvec(self.filter.feedforward, self.u)
+        return Bx - Au
 
-    def _value(self, x: np.ndarray, proc: Optional[StochasticProcessor]) -> float:
-        residual = self._residual(x, proc)
-        if proc is None:
-            return float(residual @ residual)
-        from repro.linalg.ops import noisy_norm2_squared
+    def _value(self, x: np.ndarray) -> float:
+        residual = self._residual(x)
+        return float(residual @ residual)
 
-        return noisy_norm2_squared(proc, residual)
-
-    def _gradient(
-        self, x: np.ndarray, proc: Optional[StochasticProcessor]
-    ) -> np.ndarray:
-        residual = self._residual(x, proc)
-        grad = _banded_rmatvec(self.filter.feedback, residual, proc)
-        if proc is None:
-            return 2.0 * grad
-        return proc.corrupt(2.0 * grad, ops_per_element=1)
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * _banded_rmatvec(self.filter.feedback, self._residual(x))
 
     def _gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
-        # Same operation sequence as _gradient, fused across trial rows: the
-        # target term Au is convolved once (it is exact arithmetic shared by
-        # every trial) but corrupted per trial, exactly as the serial
-        # _residual recomputes and corrupts it on every call.
+        # The target term Au is convolved once (it is exact arithmetic shared
+        # by every trial) but corrupted per trial and per call, so each
+        # iteration's corruption of it is independently resampled.
         a, b = self.filter.feedforward, self.filter.feedback
         Bx = _banded_matvec_batch(b, X, batch)
-        Au_exact = np.convolve(self.u, a)[: self.u.size]
+        Au_exact = _banded_matvec(a, self.u)
         Au = batch.corrupt(
             np.broadcast_to(Au_exact, X.shape), ops_per_element=2 * a.size - 1
         )
@@ -331,49 +296,10 @@ def robust_iir_filter(
     preconditioner_taps:
         Truncation length of the inverse impulse response.
     """
-    from repro.applications.baselines.iir_direct import noisy_direct_form_filter
-
-    u_arr = np.asarray(u, dtype=np.float64).ravel()
-    flops_before, faults_before = proc.flops, proc.faults_injected
-
-    noisy_init: Optional[np.ndarray] = None
-    if use_baseline_initialization:
-        noisy_init = noisy_direct_form_filter(filt, u_arr, proc)
-        noisy_init = np.where(np.isfinite(noisy_init), noisy_init, 0.0)
-
-    if precondition:
-        f, effective = precondition_iir(filt, taps=preconditioner_taps)
-        step_filter = IIRFilter(feedforward=filt.feedforward, feedback=effective)
-        problem = IIRVariationalProblem(step_filter, u_arr)
-        x0 = None
-        if noisy_init is not None:
-            # y ≈ B x maps the noisy feed-forward output into the
-            # preconditioned coordinates (reliable transformation work).  A
-            # control-phase sanity bound discards the initializer when the
-            # noisy recursion has blown up beyond any gain the filter could
-            # legitimately produce — starting from zero is then safer.
-            x0 = np.convolve(noisy_init, filt.feedback)[: u_arr.size]
-            gain_bound = float(
-                np.sum(np.abs(filt.feedforward)) * max(np.linalg.norm(u_arr), 1.0)
-            )
-            if not np.isfinite(np.linalg.norm(x0)) or np.linalg.norm(x0) > 10.0 * gain_bound:
-                x0 = None
-    else:
-        step_filter = filt
-        problem = IIRVariationalProblem(filt, u_arr)
-        x0 = noisy_init
-
-    if options is None:
-        options = SGDOptions(
-            iterations=1000, schedule="ls", base_step=default_iir_step(step_filter)
-        )
-    result = stochastic_gradient_descent(problem, proc, options=options, x0=x0)
-    y = result.x
-    if precondition:
-        # Reliable read-out x = F y (control phase, like QRPreconditioner.recover).
-        y = np.convolve(result.x, f)[: u_arr.size]
-    return _score(filt, u_arr, y, "sgd", proc.flops - flops_before,
-                  proc.faults_injected - faults_before, result)
+    return robust_iir_filter_batch(
+        filt, u, [proc], options, use_baseline_initialization,
+        precondition, preconditioner_taps,
+    )[0]
 
 
 def robust_iir_filter_batch(
@@ -387,15 +313,13 @@ def robust_iir_filter_batch(
 ) -> List[IIRResult]:
     """Run one robust IIR filtering trial per processor as a tensorized solve.
 
-    The batch entry point of the tensorized trial backend: the preconditioned
-    variational problem is built once, the noisy feed-forward initialization
-    runs per trial (the direct-form recursion is sequentially data-dependent,
-    and its per-trial draws must match the serial path exactly), and the SGD
+    The preconditioned variational problem is built once, the noisy
+    feed-forward initialization runs per trial on that trial's processor
+    (the direct-form recursion is sequentially data-dependent), and the SGD
     phase advances every trial's iterate together through
     :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch` with a
-    per-trial initial stack.  Trial ``t``'s :class:`IIRResult` is
-    bit-identical to ``robust_iir_filter(filt, u, procs[t], ...)`` with the
-    same arguments.
+    per-trial initial stack.  Trial ``t``'s :class:`IIRResult` equals
+    ``robust_iir_filter(filt, u, procs[t], ...)`` with the same arguments.
     """
     from repro.applications.baselines.iir_direct import noisy_direct_form_filter
 
@@ -418,9 +342,12 @@ def robust_iir_filter_batch(
         problem = IIRVariationalProblem(step_filter, u_arr)
         X0: Optional[np.ndarray] = None
         if noisy_inits is not None:
-            # Per-trial y ≈ B x mapping with the same control-phase sanity
-            # bound as the serial path; a discarded initializer falls back to
-            # the problem's zero initial point, exactly as x0=None would.
+            # y ≈ B x maps each noisy feed-forward output into the
+            # preconditioned coordinates (reliable transformation work).  A
+            # control-phase sanity bound discards an initializer when the
+            # noisy recursion has blown up beyond any gain the filter could
+            # legitimately produce — that trial then starts from the
+            # problem's zero initial point, which is safer.
             gain_bound = float(
                 np.sum(np.abs(filt.feedforward)) * max(np.linalg.norm(u_arr), 1.0)
             )

@@ -20,15 +20,10 @@ from repro.linalg.solve import least_squares_baseline
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.conjugate_gradient import (
     CGOptions,
-    conjugate_gradient_least_squares,
     conjugate_gradient_least_squares_batch,
 )
 from repro.optimizers.problem import QuadraticProblem
-from repro.optimizers.sgd import (
-    SGDOptions,
-    stochastic_gradient_descent,
-    stochastic_gradient_descent_batch,
-)
+from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent_batch
 from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
@@ -141,24 +136,7 @@ def robust_least_squares_sgd(
     When ``options`` is omitted, 1,000 iterations of 1/t ("LS") stepping with
     a stability-derived base step are used — the Figure 6.2 configuration.
     """
-    if options is None:
-        options = SGDOptions(
-            iterations=1000,
-            schedule="ls",
-            base_step=default_least_squares_step(A),
-        )
-    problem = QuadraticProblem(A, b)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    result = stochastic_gradient_descent(problem, proc, options=options, x0=x0)
-    return _finish(
-        A,
-        b,
-        result.x,
-        method=f"sgd[{options.schedule if isinstance(options.schedule, str) else 'custom'}]",
-        flops=proc.flops - flops_before,
-        faults=proc.faults_injected - faults_before,
-        optimizer_result=result,
-    )
+    return robust_least_squares_sgd_batch(A, b, [proc], options, x0)[0]
 
 
 def robust_least_squares_sgd_batch(
@@ -170,10 +148,10 @@ def robust_least_squares_sgd_batch(
 ) -> List[LeastSquaresResult]:
     """Run one SGD least-squares solve per processor as a single tensor loop.
 
-    The batch entry point of the tensorized trial backend: the quadratic
-    problem is built once and every trial's iterate advances together through
+    The quadratic problem is built once and every trial's iterate advances
+    together through
     :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`.  Trial
-    ``t``'s :class:`LeastSquaresResult` is bit-identical to
+    ``t``'s :class:`LeastSquaresResult` equals
     ``robust_least_squares_sgd(A, b, procs[t], options, x0)``.
     """
     if options is None:
@@ -214,18 +192,7 @@ def robust_least_squares_cg(
 
     The default is 10 iterations, the configuration of Figures 6.6 and 6.7.
     """
-    options = options if options is not None else CGOptions(iterations=10)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    result = conjugate_gradient_least_squares(A, b, proc, options=options, x0=x0)
-    return _finish(
-        A,
-        b,
-        result.x,
-        method=f"cg[{options.iterations}]",
-        flops=proc.flops - flops_before,
-        faults=proc.faults_injected - faults_before,
-        optimizer_result=result,
-    )
+    return robust_least_squares_cg_batch(A, b, [proc], options, x0)[0]
 
 
 def robust_least_squares_cg_batch(
@@ -237,12 +204,10 @@ def robust_least_squares_cg_batch(
 ) -> List[LeastSquaresResult]:
     """Run one restarted-CG least-squares solve per processor as a tensor loop.
 
-    The batch entry point for Figures 6.6/6.7 workloads: every trial advances
-    together through
+    Every trial advances together through
     :func:`~repro.optimizers.conjugate_gradient.conjugate_gradient_least_squares_batch`
     (a masked-batch CGNR driver).  Trial ``t``'s :class:`LeastSquaresResult`
-    is bit-identical to ``robust_least_squares_cg(A, b, procs[t], options,
-    x0)``.
+    equals ``robust_least_squares_cg(A, b, procs[t], options, x0)``.
     """
     options = options if options is not None else CGOptions(iterations=10)
     batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)

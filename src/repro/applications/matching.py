@@ -23,11 +23,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.optimize
 
-from repro.core.transform import (
-    RobustSolveConfig,
-    solve_penalized_lp,
-    solve_penalized_lp_batch,
-)
+from repro.core.transform import RobustSolveConfig, solve_penalized_lp_batch
 from repro.exceptions import ProblemSpecificationError
 from repro.optimizers.annealing import PenaltyAnnealing
 from repro.optimizers.penalty import PenaltyKind
@@ -219,23 +215,7 @@ def robust_matching(
     config: Optional[RobustSolveConfig] = None,
 ) -> MatchingResult:
     """Maximum-weight matching via the penalized LP on the noisy processor."""
-    lp = matching_linear_program(graph)
-    config = config if config is not None else default_matching_config(graph=graph)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    solution, result = solve_penalized_lp(lp, proc, config=config)
-    selected = round_to_matching(graph, solution)
-    optimal_edges, optimal_weight = optimal_matching(graph)
-    weight = _matching_weight(graph, selected)
-    return MatchingResult(
-        edges=selected,
-        weight=weight,
-        optimal_weight=optimal_weight,
-        success=selected == optimal_edges,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
-        method=f"robust[{config.variant}]",
-        optimizer_result=result,
-    )
+    return robust_matching_batch(graph, [proc], config)[0]
 
 
 def robust_matching_batch(
@@ -245,13 +225,12 @@ def robust_matching_batch(
 ) -> List[MatchingResult]:
     """Run one robust matching per processor as a single tensorized solve.
 
-    The batch entry point of the tensorized trial backend: the matching LP
-    and solver configuration are built once (they depend only on ``graph``),
-    the stochastic solve runs through
+    The matching LP and solver configuration are built once (they depend
+    only on ``graph``), the stochastic solve runs through
     :func:`~repro.core.transform.solve_penalized_lp_batch` as one batched
     numpy loop over every trial's iterate, and only the cheap reliable
     control-phase steps (greedy rounding, success check) run per trial.
-    Trial ``t``'s :class:`MatchingResult` is bit-identical to
+    Trial ``t``'s :class:`MatchingResult` equals
     ``robust_matching(graph, procs[t], config)``.
     """
     lp = matching_linear_program(graph)

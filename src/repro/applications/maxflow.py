@@ -21,11 +21,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.transform import (
-    RobustSolveConfig,
-    solve_penalized_lp,
-    solve_penalized_lp_batch,
-)
+from repro.core.transform import RobustSolveConfig, solve_penalized_lp_batch
 from repro.exceptions import ProblemSpecificationError
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import LinearConstraints, LinearProgram
@@ -172,27 +168,7 @@ def robust_max_flow(
     The relaxed edge flows are clipped into ``[0, capacity]`` by the reliable
     control phase before the flow value is read out.
     """
-    lp = maxflow_linear_program(network)
-    config = config if config is not None else default_maxflow_config(network=network)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    solution, result = solve_penalized_lp(lp, proc, config=config)
-    capacities = np.asarray(network.capacities, dtype=np.float64)
-    flow = np.clip(np.where(np.isfinite(solution), solution, 0.0), 0.0, capacities)
-    exact = exact_max_flow(network)
-    value = _flow_value(network, flow)
-    relative_error = abs(value - exact) / max(abs(exact), np.finfo(float).tiny)
-    scale = float(np.max(capacities))
-    return MaxFlowResult(
-        flow_value=value,
-        exact_value=exact,
-        relative_error=relative_error,
-        feasible=_is_feasible(network, flow, feasibility_tolerance * scale),
-        flow=flow,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
-        method=f"robust[{config.variant}]",
-        optimizer_result=result,
-    )
+    return robust_max_flow_batch(network, [proc], config, feasibility_tolerance)[0]
 
 
 def robust_max_flow_batch(
@@ -203,15 +179,14 @@ def robust_max_flow_batch(
 ) -> List[MaxFlowResult]:
     """Run one robust max-flow per processor as a single tensorized solve.
 
-    The batch entry point of the tensorized trial backend: like
-    :func:`~repro.applications.matching.robust_matching_batch`, the flow LP
-    and solver configuration are built once (they depend only on
+    Like :func:`~repro.applications.matching.robust_matching_batch`, the
+    flow LP and solver configuration are built once (they depend only on
     ``network``), the stochastic solve runs through
     :func:`~repro.core.transform.solve_penalized_lp_batch` as one masked
     batched numpy loop over every trial's iterate, and only the cheap
     reliable control-phase steps (clipping into ``[0, capacity]``, the flow
     value read-out, the feasibility check) run per trial.  Trial ``t``'s
-    :class:`MaxFlowResult` is bit-identical to
+    :class:`MaxFlowResult` equals
     ``robust_max_flow(network, procs[t], config, feasibility_tolerance)``.
     """
     lp = maxflow_linear_program(network)

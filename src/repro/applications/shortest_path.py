@@ -21,11 +21,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.transform import (
-    RobustSolveConfig,
-    solve_penalized_lp,
-    solve_penalized_lp_batch,
-)
+from repro.core.transform import RobustSolveConfig, solve_penalized_lp_batch
 from repro.exceptions import ProblemSpecificationError
 from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import LinearConstraints, LinearProgram
@@ -175,22 +171,7 @@ def robust_all_pairs_shortest_path(
     success_tolerance: float = 0.05,
 ) -> ShortestPathResult:
     """APSP via the penalized LP on the noisy processor."""
-    lp = apsp_linear_program(graph)
-    config = config if config is not None else default_apsp_config(graph=graph)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    solution, result = solve_penalized_lp(lp, proc, config=config)
-    distances = np.where(np.isfinite(solution), solution, np.nan).reshape(
-        graph.n_nodes, graph.n_nodes
-    )
-    return _score(
-        graph,
-        distances,
-        method=f"robust[{config.variant}]",
-        flops=proc.flops - flops_before,
-        faults=proc.faults_injected - faults_before,
-        success_tolerance=success_tolerance,
-        optimizer_result=result,
-    )
+    return robust_all_pairs_shortest_path_batch(graph, [proc], config, success_tolerance)[0]
 
 
 def robust_all_pairs_shortest_path_batch(
@@ -201,15 +182,13 @@ def robust_all_pairs_shortest_path_batch(
 ) -> List[ShortestPathResult]:
     """Run one robust APSP solve per processor as a single tensorized solve.
 
-    The batch entry point of the tensorized trial backend: the triangle-
-    inequality LP and solver configuration are built once (they depend only
-    on ``graph``), the stochastic solve runs through
+    The triangle-inequality LP and solver configuration are built once (they
+    depend only on ``graph``), the stochastic solve runs through
     :func:`~repro.core.transform.solve_penalized_lp_batch` — the same masked
     batched path the matching and max-flow kernels share — and only the
     cheap reliable scoring runs per trial.  Trial ``t``'s
-    :class:`ShortestPathResult` is bit-identical to
-    ``robust_all_pairs_shortest_path(graph, procs[t], config,
-    success_tolerance)``.
+    :class:`ShortestPathResult` equals ``robust_all_pairs_shortest_path(graph,
+    procs[t], config, success_tolerance)``.
     """
     lp = apsp_linear_program(graph)
     config = config if config is not None else default_apsp_config(graph=graph)

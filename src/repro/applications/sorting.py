@@ -21,11 +21,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 import scipy.optimize
 
-from repro.core.transform import (
-    RobustSolveConfig,
-    solve_penalized_lp,
-    solve_penalized_lp_batch,
-)
+from repro.core.transform import RobustSolveConfig, solve_penalized_lp_batch
 from repro.core.verification import is_valid_sorted_output
 from repro.exceptions import ProblemSpecificationError
 from repro.optimizers.annealing import PenaltyAnnealing
@@ -75,6 +71,8 @@ def sorting_linear_program(values: np.ndarray) -> LinearProgram:
     n = u.size
     if n < 2:
         raise ProblemSpecificationError("sorting requires at least two elements")
+    if not np.all(np.isfinite(u)):
+        raise ProblemSpecificationError("sorting requires finite values (no NaN or inf)")
     v = np.arange(1, n + 1, dtype=np.float64)
     cost = -np.outer(v, u).ravel()
 
@@ -160,24 +158,7 @@ def robust_sort(
     config: Optional[RobustSolveConfig] = None,
 ) -> SortResult:
     """Sort ``values`` ascending via the penalized LP on the noisy processor."""
-    u = np.asarray(values, dtype=np.float64).ravel()
-    lp = sorting_linear_program(u)
-    config = config if config is not None else default_sorting_config(values=u)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    solution, result = solve_penalized_lp(lp, proc, config=config)
-    n = u.size
-    X = solution.reshape(n, n)
-    permutation = round_to_permutation(X)
-    output = permutation @ u
-    return SortResult(
-        output=output,
-        success=is_valid_sorted_output(output, u),
-        permutation=permutation,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
-        method=f"robust[{config.variant}]",
-        optimizer_result=result,
-    )
+    return robust_sort_batch(values, [proc], config)[0]
 
 
 def robust_sort_batch(
@@ -187,14 +168,13 @@ def robust_sort_batch(
 ) -> List[SortResult]:
     """Run one robust sort per processor as a single tensorized solve.
 
-    The batch entry point of the tensorized trial backend: the sorting LP and
-    solver configuration are built once (they depend only on ``values``), the
-    stochastic solve runs through
+    The sorting LP and solver configuration are built once (they depend only
+    on ``values``), the stochastic solve runs through
     :func:`~repro.core.transform.solve_penalized_lp_batch` as one batched
     numpy loop over every trial's iterate, and only the cheap reliable
     control-phase steps (assignment rounding, success check) run per trial.
     Trial ``t``'s :class:`SortResult` — output, success flag, FLOP and fault
-    accounting — is bit-identical to ``robust_sort(values, procs[t], config)``.
+    accounting — equals ``robust_sort(values, procs[t], config)``.
     """
     u = np.asarray(values, dtype=np.float64).ravel()
     lp = sorting_linear_program(u)

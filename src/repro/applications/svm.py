@@ -9,12 +9,11 @@ already defined variationally and have efficient stochastic gradient solvers
   control flow is data-dependent, so it has no batch tier); and
 * :func:`robust_svm_train_sgd` — full-batch subgradient descent on the
   regularized hinge loss (:class:`SVMHingeProblem`), driven by the shared
-  :func:`~repro.optimizers.sgd.stochastic_gradient_descent` engine.  Its
-  gradient is two noisy matrix-vector products with a reliable indicator in
-  between, a fixed-shape computation, so
-  :func:`robust_svm_train_sgd_batch` advances whole trial batches through
-  :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`
-  bit-identically to the serial path.
+  :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch` engine.
+  Its gradient is two noisy matrix-vector products with a reliable
+  indicator in between, a fixed-shape computation, so
+  :func:`robust_svm_train_sgd_batch` advances whole trial batches at once
+  and a single training run is a batch of one.
 
 In both, the learning-rate schedule and final scoring are reliable control
 work.
@@ -28,13 +27,9 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
-from repro.linalg.ops import noisy_dot, noisy_matvec
+from repro.linalg.ops import noisy_dot
 from repro.optimizers.problem import UnconstrainedProblem
-from repro.optimizers.sgd import (
-    SGDOptions,
-    stochastic_gradient_descent,
-    stochastic_gradient_descent_batch,
-)
+from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent_batch
 from repro.processor.batch import ProcessorBatch, batch_matvec
 from repro.processor.stochastic import StochasticProcessor
 
@@ -87,6 +82,8 @@ def _validate_svm_data(
         raise ProblemSpecificationError(
             f"data shape mismatch: X {X_arr.shape}, y {y_arr.shape}"
         )
+    if X_arr.shape[0] == 0:
+        raise ProblemSpecificationError("training set must contain at least one sample")
     if not np.all(np.isin(y_arr, (-1.0, 1.0))):
         raise ProblemSpecificationError("labels must be ±1")
     if regularization <= 0:
@@ -102,9 +99,8 @@ class SVMHingeProblem(UnconstrainedProblem):
     ``(yX) w`` and the hinge term over the active-sample indicator — with
     the indicator itself (a comparison against 1) computed reliably, as the
     accept/reject control work of the paper's methodology.  Because the
-    computation's shape never depends on the data, the batched gradient
-    consumes each trial's generator exactly as the serial gradient does, so
-    the tensorized tier is bit-identical to serial execution.
+    computation's shape never depends on the data, every trial of a batch
+    consumes its generator identically, whatever the batch's size.
     """
 
     def __init__(
@@ -126,41 +122,20 @@ class SVMHingeProblem(UnconstrainedProblem):
             gradient_batch=self._hinge_gradient_batch,
         )
 
-    def _hinge_value(
-        self, w: np.ndarray, proc: Optional[StochasticProcessor]
-    ) -> float:
-        if proc is None:
-            return _hinge_objective(w, self.X, self.y, self.regularization)
-        margins = noisy_matvec(proc, self._Xy, w)
-        margins = np.where(np.isfinite(margins), margins, 0.0)
-        hinge = float(np.mean(np.maximum(1.0 - margins, 0.0)))
-        reg_term = 0.5 * self.regularization * float(w @ w)
-        proc.count_flops(2 * w.size + margins.size)
-        return reg_term + hinge
+    def _hinge_value(self, w: np.ndarray) -> float:
+        return _hinge_objective(w, self.X, self.y, self.regularization)
 
-    def _hinge_gradient(
-        self, w: np.ndarray, proc: Optional[StochasticProcessor]
-    ) -> np.ndarray:
-        if proc is None:
-            margins = self._Xy @ w
-            indicator = (margins < 1.0).astype(np.float64)
-            return self.regularization * w + self._hinge_matrix @ indicator
-        margins = noisy_matvec(proc, self._Xy, w)
-        # Reliable control phase: which samples violate the margin.  A
-        # non-finite (corrupted) margin counts as violating, mirroring the
-        # Pegasos trainer's treatment.
-        indicator = np.where(
-            np.isfinite(margins) & (margins >= 1.0), 0.0, 1.0
-        )
-        hinge = noisy_matvec(proc, self._hinge_matrix, indicator)
-        scaled = proc.corrupt(self.regularization * w, ops_per_element=1)
-        return proc.corrupt(scaled + hinge, ops_per_element=1)
+    def _hinge_gradient(self, w: np.ndarray) -> np.ndarray:
+        indicator = (self._Xy @ w < 1.0).astype(np.float64)
+        return self.regularization * w + self._hinge_matrix @ indicator
 
     def _hinge_gradient_batch(
         self, W: np.ndarray, batch: ProcessorBatch
     ) -> np.ndarray:
-        # Same operation sequence as _hinge_gradient, fused across trial rows.
         margins = batch_matvec(batch, self._Xy, W)
+        # Reliable control phase: which samples violate the margin.  A
+        # non-finite (corrupted) margin counts as violating, mirroring the
+        # Pegasos trainer's treatment.
         indicators = np.where(
             np.isfinite(margins) & (margins >= 1.0), 0.0, 1.0
         )
@@ -253,26 +228,12 @@ def robust_svm_train_sgd(
 
     The variational twin of :func:`robust_svm_train`: the regularized hinge
     loss (:class:`SVMHingeProblem`) is minimized with the shared
-    :func:`~repro.optimizers.sgd.stochastic_gradient_descent` engine, so the
-    trainer inherits every solver variant (step schedules, aggressive
-    stepping, momentum) and the tensorized batch tier.  When ``options`` is
-    omitted, 1,000 iterations of 1/t stepping with a stability-derived base
-    step are used.
+    :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch` engine,
+    so the trainer inherits every solver variant (step schedules, aggressive
+    stepping, momentum).  When ``options`` is omitted, 1,000 iterations of
+    1/t stepping with a stability-derived base step are used.
     """
-    problem = SVMHingeProblem(X, y, regularization)
-    if options is None:
-        options = _default_hinge_options(problem.X, regularization)
-    flops_before, faults_before = proc.flops, proc.faults_injected
-    result = stochastic_gradient_descent(problem, proc, options=options, x0=x0)
-    weights = np.where(np.isfinite(result.x), result.x, 0.0)
-    return SVMResult(
-        weights=weights,
-        train_accuracy=svm_accuracy(weights, problem.X, problem.y),
-        objective=_hinge_objective(weights, problem.X, problem.y, regularization),
-        iterations=result.iterations,
-        flops=proc.flops - flops_before,
-        faults_injected=proc.faults_injected - faults_before,
-    )
+    return robust_svm_train_sgd_batch(X, y, [proc], options, regularization, x0)[0]
 
 
 def robust_svm_train_sgd_batch(
@@ -285,10 +246,10 @@ def robust_svm_train_sgd_batch(
 ) -> List[SVMResult]:
     """Run one hinge-loss SVM training per processor as a single tensor loop.
 
-    The batch entry point of the tensorized trial backend: the hinge problem
-    is built once and every trial's weight vector advances together through
+    The hinge problem is built once and every trial's weight vector advances
+    together through
     :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`.  Trial
-    ``t``'s :class:`SVMResult` is bit-identical to
+    ``t``'s :class:`SVMResult` equals
     ``robust_svm_train_sgd(X, y, procs[t], options, regularization, x0)``.
     """
     problem = SVMHingeProblem(X, y, regularization)

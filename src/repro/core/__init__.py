@@ -17,7 +17,7 @@ The core package ties the pieces together:
   solver outputs.
 """
 
-from repro.core.transform import RobustSolveConfig, solve_penalized_lp, to_penalty_form
+from repro.core.transform import RobustSolveConfig, solve_penalized_lp_batch, to_penalty_form
 from repro.core.variants import (
     VariantSpec,
     get_variant,
@@ -34,7 +34,7 @@ from repro.core.verification import (
 
 __all__ = [
     "RobustSolveConfig",
-    "solve_penalized_lp",
+    "solve_penalized_lp_batch",
     "to_penalty_form",
     "VariantSpec",
     "get_variant",

@@ -4,7 +4,7 @@ Chapter 4 converts each application into a linearly constrained variational
 form; Chapter 3 then converts that into an unconstrained exact-penalty
 problem and minimizes it with stochastic gradient descent enhanced (per
 §6.2) with preconditioning, momentum, step-size scaling, annealing and
-aggressive stepping.  :func:`solve_penalized_lp` implements that full
+aggressive stepping.  :func:`solve_penalized_lp_batch` implements that full
 pipeline once, so every combinatorial application (sorting, matching,
 max-flow, shortest paths) shares the same code path and the enhancement
 ablation of Figure 6.5 can toggle each piece independently.
@@ -22,11 +22,7 @@ from repro.optimizers.base import OptimizationResult
 from repro.optimizers.penalty import ExactPenaltyProblem, PenaltyKind
 from repro.optimizers.preconditioning import QRPreconditioner
 from repro.optimizers.problem import ConstrainedProblem, LinearProgram
-from repro.optimizers.sgd import (
-    SGDOptions,
-    stochastic_gradient_descent,
-    stochastic_gradient_descent_batch,
-)
+from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent_batch
 from repro.optimizers.step_schedules import AggressiveStepping
 from repro.core.variants import get_variant, sgd_options_for_variant
 from repro.processor.batch import ProcessorBatch
@@ -35,7 +31,6 @@ from repro.processor.stochastic import StochasticProcessor
 __all__ = [
     "RobustSolveConfig",
     "to_penalty_form",
-    "solve_penalized_lp",
     "solve_penalized_lp_batch",
 ]
 
@@ -48,7 +43,7 @@ def to_penalty_form(
     """Convert a constrained problem to its unconstrained exact-penalty form.
 
     This is the Theorem 2 step of the methodology; the returned object can be
-    handed directly to :func:`~repro.optimizers.sgd.stochastic_gradient_descent`.
+    handed directly to :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`.
     """
     return ExactPenaltyProblem(problem, penalty=penalty, kind=kind)
 
@@ -77,8 +72,6 @@ class RobustSolveConfig:
         Reliable-control-phase clip applied to noisy gradient components.
     annealing / aggressive:
         Concrete schedules used when the variant enables them.
-    record_history:
-        Record a per-iteration objective trace.
     """
 
     variant: str = "SGD,LS"
@@ -89,7 +82,6 @@ class RobustSolveConfig:
     gradient_clip: Optional[float] = 1.0e3
     annealing: PenaltyAnnealing = field(default_factory=PenaltyAnnealing)
     aggressive: AggressiveStepping = field(default_factory=AggressiveStepping)
-    record_history: bool = False
 
     def sgd_options(self) -> SGDOptions:
         """The :class:`SGDOptions` implied by this configuration."""
@@ -100,55 +92,11 @@ class RobustSolveConfig:
             gradient_clip=self.gradient_clip,
             annealing=self.annealing,
             aggressive=self.aggressive,
-            record_history=self.record_history,
         )
 
     def uses_preconditioning(self) -> bool:
         """Whether the selected variant applies QR preconditioning."""
         return get_variant(self.variant).precondition
-
-
-def solve_penalized_lp(
-    lp: LinearProgram,
-    proc: StochasticProcessor,
-    config: Optional[RobustSolveConfig] = None,
-    x0: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, OptimizationResult]:
-    """Solve a linear program robustly on a stochastic processor.
-
-    Pipeline: (optionally) QR-precondition the LP, convert it to the exact
-    penalty form, run stochastic gradient descent with the variant's
-    enhancements, and map the solution back to the original coordinates.
-
-    Returns the solution in the original coordinates together with the
-    :class:`~repro.optimizers.base.OptimizationResult` of the inner solve.
-    """
-    config = config if config is not None else RobustSolveConfig()
-    preconditioner: Optional[QRPreconditioner] = None
-    working_lp = lp
-    initial = x0
-    if config.uses_preconditioning():
-        preconditioner = QRPreconditioner()
-        working_lp = preconditioner.fit(lp)
-        if x0 is not None:
-            initial = preconditioner._R @ np.asarray(x0, dtype=np.float64)
-
-    penalized = to_penalty_form(
-        working_lp, penalty=config.penalty, kind=config.penalty_kind
-    )
-    result = stochastic_gradient_descent(
-        penalized, proc, options=config.sgd_options(), x0=initial
-    )
-    solution = result.x
-    if preconditioner is not None:
-        solution = preconditioner.recover(solution)
-        result.x = solution
-        # Objective in the original coordinates, reliably evaluated.
-        original_penalized = to_penalty_form(
-            lp, penalty=penalized.penalty, kind=config.penalty_kind
-        )
-        result.objective = float(original_penalized.value(solution))
-    return solution, result
 
 
 def solve_penalized_lp_batch(
@@ -157,19 +105,21 @@ def solve_penalized_lp_batch(
     config: Optional[RobustSolveConfig] = None,
     x0: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, List[OptimizationResult]]:
-    """Solve one penalized-LP trial per processor as a single tensor pipeline.
+    """Solve a linear program robustly, once per stochastic processor.
 
-    The tensorized twin of :func:`solve_penalized_lp`: the (deterministic,
-    reliable) transformation steps — QR preconditioning and the exact-penalty
-    conversion — are shared by the whole batch, and the stochastic solve runs
-    through :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`,
-    which updates every trial's iterate in one batched numpy loop.  Trial
-    ``t``'s solution and accounting are bit-identical to
-    ``solve_penalized_lp(lp, procs[t], config, x0)``.
+    Pipeline: (optionally) QR-precondition the LP, convert it to the exact
+    penalty form, run stochastic gradient descent with the variant's
+    enhancements, and map each solution back to the original coordinates.
+    The (deterministic, reliable) transformation steps are shared by the
+    whole batch, and the stochastic solve runs through
+    :func:`~repro.optimizers.sgd.stochastic_gradient_descent_batch`, which
+    updates every trial's iterate in one batched numpy loop.  A single solve
+    is a batch of one.
 
     Returns the stacked solutions (``(n_trials, dimension)``, original
     coordinates) and one :class:`~repro.optimizers.base.OptimizationResult`
-    per trial.
+    per trial, whose ``objective`` is reliably evaluated in the original
+    coordinates.
     """
     config = config if config is not None else RobustSolveConfig()
     batch = procs if isinstance(procs, ProcessorBatch) else ProcessorBatch(procs)

@@ -144,7 +144,6 @@ def sgd_options_for_variant(
     gradient_clip: Optional[float] = None,
     annealing: Optional[PenaltyAnnealing] = None,
     aggressive: Optional[AggressiveStepping] = None,
-    record_history: bool = False,
 ) -> SGDOptions:
     """Build :class:`~repro.optimizers.sgd.SGDOptions` for a named variant.
 
@@ -163,7 +162,6 @@ def sgd_options_for_variant(
         aggressive=(aggressive or AggressiveStepping()) if spec.aggressive else None,
         annealing=(annealing or PenaltyAnnealing()) if spec.annealing else None,
         gradient_clip=gradient_clip,
-        record_history=record_history,
     )
     return options
 

@@ -9,7 +9,9 @@ the benchmark modules, and ``examples/reproduce_figures.py``.  This module
 collapses that coupling into one registry:
 
 * **Capability dispatch.**  :func:`batchable` attaches a vectorized batch
-  implementation to a trial function; :func:`batch_implementation` /
+  implementation to a trial function, and :func:`batch_trial` defines a
+  trial function by its batch implementation alone (the per-trial callable
+  is a batch of one); :func:`batch_implementation` /
   :func:`is_batchable` / :func:`batchable_series` are the *only* places that
   capability is inspected.  Executors route through these helpers instead of
   threading a flag through every plan object.
@@ -37,49 +39,38 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.applications.eigen import robust_eigenpairs, robust_eigenpairs_batch
-from repro.applications.iir import (
-    baseline_iir_filter,
-    robust_iir_filter,
-    robust_iir_filter_batch,
-)
+from repro.applications.eigen import robust_eigenpairs_batch
+from repro.applications.iir import baseline_iir_filter, robust_iir_filter_batch
 from repro.applications.least_squares import (
     baseline_least_squares,
     default_least_squares_step,
-    robust_least_squares_cg,
     robust_least_squares_cg_batch,
-    robust_least_squares_sgd,
     robust_least_squares_sgd_batch,
 )
 from repro.applications.matching import (
     baseline_matching,
     default_matching_config,
     matching_margin,
-    robust_matching,
     robust_matching_batch,
 )
 from repro.applications.maxflow import (
     baseline_max_flow,
     default_maxflow_config,
-    robust_max_flow,
     robust_max_flow_batch,
 )
 from repro.applications.shortest_path import (
     baseline_all_pairs_shortest_path,
     default_apsp_config,
-    robust_all_pairs_shortest_path,
     robust_all_pairs_shortest_path_batch,
 )
 from repro.applications.sorting import (
     baseline_sort,
     default_sorting_config,
-    robust_sort,
     robust_sort_batch,
 )
 from repro.applications.svm import (
     default_svm_step,
     robust_svm_train,
-    robust_svm_train_sgd,
     robust_svm_train_sgd_batch,
 )
 from repro.core.variants import sgd_options_for_variant
@@ -103,6 +94,7 @@ __all__ = [
     "workload_memo_stats",
     "clear_workload_memo",
     "batchable",
+    "batch_trial",
     "batch_implementation",
     "is_batchable",
     "batchable_series",
@@ -162,11 +154,12 @@ def batchable(run_batch: Callable) -> Callable:
     """Attach a vectorized batch implementation to a trial function.
 
     ``run_batch(procs, streams)`` receives one processor and one random
-    stream per trial — constructed exactly as the serial path constructs
-    them — and returns one metric value per trial.  The implementation must
-    corrupt each trial's data with that trial's own generator (see
-    :class:`repro.processor.batch.ProcessorBatch`) so that the batched result
-    stays bit-identical to serial execution.
+    stream per trial — constructed exactly as the ``serial`` executor
+    constructs them — and returns one metric value per trial.  The
+    implementation must corrupt each trial's data with that trial's own
+    generator (see :class:`repro.processor.batch.ProcessorBatch`) so that
+    trial ``t``'s value does not depend on which other trials share its
+    batch, and must agree with ``function(procs[t], streams[t])``.
 
     The ``vectorized`` executor calls it once per *series* with the whole
     (fault-rate × trials) grid, so implementations must read each processor's
@@ -178,6 +171,21 @@ def batchable(run_batch: Callable) -> Callable:
         return function
 
     return attach
+
+
+def batch_trial(run_batch: Callable) -> TrialFunction:
+    """A trial function defined once, by its batch implementation.
+
+    The per-trial callable is a batch of one, ``run_batch([proc], [rng])[0]``,
+    so the ``serial`` executor and the tensorized executors run the same
+    solver, and comparing them checks the composition invariant: row ``t``
+    of a batch of ``n`` equals a batch of one for trial ``t``.
+    """
+
+    def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
+        return run_batch([proc], [rng])[0]
+
+    return batchable(run_batch)(run)
 
 
 def batch_implementation(function: Callable) -> Optional[Callable]:
@@ -237,10 +245,10 @@ def sorting_trial_functions(
     ``series`` maps each series label to a robust solver variant, or to
     ``None`` for the noisy-comparison-sort baseline; the default is the
     figure's "Base" / "SGD" / "SGD+AS,LS" / "SGD+AS,SQS" line-up.  Robust
-    series carry a :func:`batchable` implementation backed by
-    :func:`~repro.applications.sorting.robust_sort_batch`, so the
+    series are defined by their batch implementation (:func:`batch_trial`)
+    backed by :func:`~repro.applications.sorting.robust_sort_batch`, so the
     ``vectorized`` executor advances whole trial batches as one tensor
-    computation (bit-identical to serial execution).
+    computation and the ``serial`` executor runs batches of one.
     """
     if series is None:
         series = {
@@ -255,12 +263,6 @@ def sorting_trial_functions(
         return 1.0 if baseline_sort(values, proc).success else 0.0
 
     def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            config = default_sorting_config(
-                iterations=iterations, variant=variant, values=values
-            )
-            return 1.0 if robust_sort(values, proc, config).success else 0.0
-
         def run_batch(procs, streams):
             config = default_sorting_config(
                 iterations=iterations, variant=variant, values=values
@@ -268,7 +270,7 @@ def sorting_trial_functions(
             results = robust_sort_batch(values, procs, config)
             return [1.0 if result.success else 0.0 for result in results]
 
-        return batchable(run_batch)(run)
+        return batch_trial(run_batch)
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -295,12 +297,6 @@ def least_squares_trial_functions(
         return baseline_least_squares(A, b, proc, method="svd").relative_error
 
     def _sgd(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=base_step
-            )
-            return robust_least_squares_sgd(A, b, proc, options=options).relative_error
-
         def run_batch(procs, streams):
             options = sgd_options_for_variant(
                 variant, iterations=iterations, base_step=base_step
@@ -308,7 +304,7 @@ def least_squares_trial_functions(
             results = robust_least_squares_sgd_batch(A, b, procs, options=options)
             return [result.relative_error for result in results]
 
-        return batchable(run_batch)(run)
+        return batch_trial(run_batch)
 
     return {
         label: _svd if variant is None else _sgd(variant)
@@ -327,7 +323,7 @@ def iir_trial_functions(
     Robust series batch through
     :func:`~repro.applications.iir.robust_iir_filter_batch` (batched SGD over
     the preconditioned banded least-squares form; the per-trial noisy
-    feed-forward initialization runs serially inside the batch entry point).
+    feed-forward initialization runs per trial inside the batch entry point).
     """
     if series is None:
         series = {
@@ -342,12 +338,6 @@ def iir_trial_functions(
         return baseline_iir_filter(filt, signal, proc).error_to_signal
 
     def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=0.25
-            )
-            return robust_iir_filter(filt, signal, proc, options=options).error_to_signal
-
         def run_batch(procs, streams):
             options = sgd_options_for_variant(
                 variant, iterations=iterations, base_step=0.25
@@ -355,7 +345,7 @@ def iir_trial_functions(
             results = robust_iir_filter_batch(filt, signal, procs, options=options)
             return [result.error_to_signal for result in results]
 
-        return batchable(run_batch)(run)
+        return batch_trial(run_batch)
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -387,12 +377,6 @@ def matching_trial_functions(
         return 1.0 if baseline_matching(graph, proc).success else 0.0
 
     def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            config = default_matching_config(
-                iterations=iterations, variant=variant, graph=graph
-            )
-            return 1.0 if robust_matching(graph, proc, config).success else 0.0
-
         def run_batch(procs, streams):
             config = default_matching_config(
                 iterations=iterations, variant=variant, graph=graph
@@ -400,7 +384,7 @@ def matching_trial_functions(
             results = robust_matching_batch(graph, procs, config)
             return [1.0 if result.success else 0.0 for result in results]
 
-        return batchable(run_batch)(run)
+        return batch_trial(run_batch)
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -427,10 +411,6 @@ def cg_least_squares_trial_functions(
 
         return run
 
-    def _cg(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-        options = CGOptions(iterations=cg_iterations)
-        return robust_least_squares_cg(A, b, proc, options=options).relative_error
-
     def _cg_batch(procs, streams):
         options = CGOptions(iterations=cg_iterations)
         results = robust_least_squares_cg_batch(A, b, procs, options=options)
@@ -440,7 +420,7 @@ def cg_least_squares_trial_functions(
         "Base: QR": _baseline("qr"),
         "Base: SVD": _baseline("svd"),
         "Base: Cholesky": _baseline("cholesky"),
-        f"CG, N={cg_iterations}": batchable(_cg_batch)(_cg),
+        f"CG, N={cg_iterations}": batch_trial(_cg_batch),
     }
 
 
@@ -465,12 +445,6 @@ def maxflow_trial_functions(
         return baseline_max_flow(network, proc).relative_error
 
     def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            config = default_maxflow_config(
-                iterations=iterations, variant=variant, network=network
-            )
-            return robust_max_flow(network, proc, config).relative_error
-
         def run_batch(procs, streams):
             config = default_maxflow_config(
                 iterations=iterations, variant=variant, network=network
@@ -478,7 +452,7 @@ def maxflow_trial_functions(
             results = robust_max_flow_batch(network, procs, config)
             return [result.relative_error for result in results]
 
-        return batchable(run_batch)(run)
+        return batch_trial(run_batch)
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -506,12 +480,6 @@ def apsp_trial_functions(
         return baseline_all_pairs_shortest_path(graph, proc).mean_relative_error
 
     def _robust(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            config = default_apsp_config(
-                iterations=iterations, variant=variant, graph=graph
-            )
-            return robust_all_pairs_shortest_path(graph, proc, config).mean_relative_error
-
         def run_batch(procs, streams):
             config = default_apsp_config(
                 iterations=iterations, variant=variant, graph=graph
@@ -519,7 +487,7 @@ def apsp_trial_functions(
             results = robust_all_pairs_shortest_path_batch(graph, procs, config)
             return [result.mean_relative_error for result in results]
 
-        return batchable(run_batch)(run)
+        return batch_trial(run_batch)
 
     return {
         label: _base if variant is None else _robust(variant)
@@ -547,10 +515,6 @@ def eigen_trial_functions(
     M = np.asarray(M, dtype=np.float64)
 
     def _make(k: int):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            results = robust_eigenpairs(M, k, proc, iterations=iterations, rng=rng)
-            return max(result.eigenvalue_error for result in results)
-
         def run_batch(procs, streams):
             results = robust_eigenpairs_batch(
                 M, k, procs, iterations=iterations, rngs=streams
@@ -560,7 +524,7 @@ def eigen_trial_functions(
                 for per_trial in results
             ]
 
-        return batchable(run_batch)(run)
+        return batch_trial(run_batch)
 
     return {label: _make(k) for label, k in series.items()}
 
@@ -594,14 +558,6 @@ def svm_trial_functions(
         ).train_accuracy
 
     def _sgd(variant: str):
-        def run(proc: StochasticProcessor, rng: np.random.Generator) -> float:
-            options = sgd_options_for_variant(
-                variant, iterations=iterations, base_step=base_step
-            )
-            return robust_svm_train_sgd(
-                X, y, proc, options=options, regularization=regularization
-            ).train_accuracy
-
         def run_batch(procs, streams):
             options = sgd_options_for_variant(
                 variant, iterations=iterations, base_step=base_step
@@ -611,7 +567,7 @@ def svm_trial_functions(
             )
             return [result.train_accuracy for result in results]
 
-        return batchable(run_batch)(run)
+        return batch_trial(run_batch)
 
     return {
         label: _pegasos if variant is None else _sgd(variant)

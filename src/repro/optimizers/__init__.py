@@ -16,7 +16,7 @@ This subpackage is the computational back-end of application robustification:
 * :mod:`repro.optimizers.annealing` — penalty-parameter annealing (§6.2.4).
 """
 
-from repro.optimizers.base import IterationRecord, OptimizationResult
+from repro.optimizers.base import OptimizationResult
 from repro.optimizers.problem import (
     UnconstrainedProblem,
     LinearConstraints,
@@ -36,11 +36,13 @@ from repro.optimizers.step_schedules import (
 from repro.optimizers.annealing import PenaltyAnnealing
 from repro.optimizers.momentum import MomentumSmoother
 from repro.optimizers.preconditioning import QRPreconditioner
-from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent
-from repro.optimizers.conjugate_gradient import CGOptions, conjugate_gradient_least_squares
+from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent_batch
+from repro.optimizers.conjugate_gradient import (
+    CGOptions,
+    conjugate_gradient_least_squares_batch,
+)
 
 __all__ = [
-    "IterationRecord",
     "OptimizationResult",
     "UnconstrainedProblem",
     "LinearConstraints",
@@ -59,7 +61,7 @@ __all__ = [
     "MomentumSmoother",
     "QRPreconditioner",
     "SGDOptions",
-    "stochastic_gradient_descent",
+    "stochastic_gradient_descent_batch",
     "CGOptions",
-    "conjugate_gradient_least_squares",
+    "conjugate_gradient_least_squares_batch",
 ]

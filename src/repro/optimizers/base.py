@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
 
-__all__ = ["IterationRecord", "OptimizationResult", "stack_initial_iterates"]
+__all__ = ["OptimizationResult", "stack_initial_iterates"]
 
 
 def stack_initial_iterates(
@@ -23,9 +23,7 @@ def stack_initial_iterates(
     The shared x0 convention of the batched solver drivers: ``x0`` may be
     ``None`` (``default_row()`` for every trial — the problem's initial point
     for SGD, zeros for CG), a single ``(dimension,)`` iterate shared by every
-    trial, or an ``(n_trials, dimension)`` stack of per-trial iterates.  Each
-    row equals what the corresponding serial solver would start trial ``t``
-    from.
+    trial, or an ``(n_trials, dimension)`` stack of per-trial iterates.
     """
     if x0 is None:
         return np.tile(default_row(), (n_trials, 1))
@@ -38,29 +36,6 @@ def stack_initial_iterates(
         f"initial iterate has shape {x0_arr.shape}, expected "
         f"({dimension},) or ({n_trials}, {dimension})"
     )
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Snapshot of one solver iteration, recorded by the optional trace.
-
-    Attributes
-    ----------
-    iteration:
-        1-based iteration index.
-    objective:
-        Objective value measured reliably at this iterate (``nan`` when the
-        solver was configured not to evaluate it).
-    step_size:
-        Step size used for the update that produced this iterate.
-    penalty:
-        Penalty parameter in effect (``nan`` for unconstrained problems).
-    """
-
-    iteration: int
-    objective: float
-    step_size: float
-    penalty: float = float("nan")
 
 
 @dataclass
@@ -84,8 +59,6 @@ class OptimizationResult:
         the run (used by the energy model and the overhead analysis).
     faults_injected:
         Number of corrupted results the processor produced during the run.
-    history:
-        Optional per-iteration trace (empty unless tracing was requested).
     message:
         Human-readable description of how the run terminated.
     """
@@ -96,17 +69,4 @@ class OptimizationResult:
     converged: bool
     flops: int = 0
     faults_injected: int = 0
-    history: List[IterationRecord] = field(default_factory=list)
     message: str = ""
-
-    def objective_trace(self) -> np.ndarray:
-        """Objective values across the recorded history (may be empty)."""
-        return np.asarray([record.objective for record in self.history])
-
-    def best_recorded_objective(self) -> Optional[float]:
-        """Smallest objective value seen in the history, or ``None`` if untraced."""
-        trace = self.objective_trace()
-        finite = trace[np.isfinite(trace)]
-        if finite.size == 0:
-            return None
-        return float(finite.min())

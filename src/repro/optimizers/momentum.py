@@ -46,19 +46,6 @@ class MomentumSmoother:
         """Forget the accumulated direction (used at preconditioner changes)."""
         self._direction = None
 
-    def load(self, direction: Optional[np.ndarray]) -> None:
-        """Seed the running average with an existing direction.
-
-        Used when a batched solve splits into per-trial phases (e.g. the
-        aggressive-stepping tail after a tensorized scheduled phase): each
-        trial's smoother resumes from its row of the batched direction rather
-        than restarting from the next gradient.
-        """
-        if direction is None:
-            self._direction = None
-        else:
-            self._direction = np.asarray(direction, dtype=np.float64).copy()
-
     def update(self, gradient: np.ndarray) -> np.ndarray:
         """Fold a new gradient into the running average and return the direction."""
         gradient = np.asarray(gradient, dtype=np.float64)

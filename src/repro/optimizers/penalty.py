@@ -19,8 +19,8 @@ Note on the paper's eq. (4.4)/(4.5): the non-negativity constraint
 gradient actually drives iterates toward the sorted permutation) is
 ``[-X_ij]_+``, and that is what this module and the application recipes use.
 
-The batched gradient (:meth:`ExactPenaltyProblem.gradient_batch`) runs its
-noisy passes through :func:`~repro.processor.batch.batch_matvec` /
+The noisy gradient (:meth:`ExactPenaltyProblem.gradient_batch`) runs its
+passes through :func:`~repro.processor.batch.batch_matvec` /
 :meth:`~repro.processor.batch.ProcessorBatch.corrupt`, so it inherits the
 batch's compute backend (:mod:`repro.backends`) transparently.
 """
@@ -28,15 +28,12 @@ batch's compute backend (:mod:`repro.backends`) transparently.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
-from repro.linalg.ops import noisy_dot, noisy_matvec, noisy_sub
 from repro.optimizers.problem import ConstrainedProblem
 from repro.processor.batch import ProcessorBatch, batch_matvec, batch_sub
-from repro.processor.stochastic import StochasticProcessor
 
 __all__ = ["PenaltyKind", "ExactPenaltyProblem"]
 
@@ -62,9 +59,10 @@ class ExactPenaltyProblem:
     kind:
         :class:`PenaltyKind` selecting the L1 or quadratic penalty.
 
-    The object exposes ``value(x, proc)`` and ``gradient(x, proc)`` with the
-    same calling convention as :class:`~repro.optimizers.problem.UnconstrainedProblem`,
-    so the solvers treat it interchangeably.  The penalty parameter is a
+    The object exposes the exact ``value(x)`` / ``gradient(x)`` and the noisy
+    ``gradient_batch(X, batch)`` with the same calling convention as
+    :class:`~repro.optimizers.problem.UnconstrainedProblem`, so the solvers
+    treat it interchangeably.  The penalty parameter is a
     mutable attribute so that :class:`~repro.optimizers.annealing.PenaltyAnnealing`
     can raise it between iterations.
     """
@@ -118,25 +116,14 @@ class ExactPenaltyProblem:
                 total += float((ineq_violation**2).sum())
         return total
 
-    def value(
-        self, x: np.ndarray, proc: Optional[StochasticProcessor] = None
-    ) -> float:
+    def value(self, x: np.ndarray) -> float:
         """Penalized objective ``f(x) + μ · penalty(x)``."""
         x = np.asarray(x, dtype=np.float64)
-        if proc is None:
-            return self.problem.objective.value(x) + self.penalty * self._penalty_terms_exact(x)
-        return self._value_noisy(x, proc)
+        return self.problem.objective.value(x) + self.penalty * self._penalty_terms_exact(x)
 
-    def gradient(
-        self, x: np.ndarray, proc: Optional[StochasticProcessor] = None
-    ) -> np.ndarray:
+    def gradient(self, x: np.ndarray) -> np.ndarray:
         """(Sub)gradient of the penalized objective."""
         x = np.asarray(x, dtype=np.float64)
-        if proc is None:
-            return self._gradient_exact(x)
-        return self._gradient_noisy(x, proc)
-
-    def _gradient_exact(self, x: np.ndarray) -> np.ndarray:
         constraints = self.problem.constraints
         grad = self.problem.objective.gradient(x)
         if constraints.A_eq is not None:
@@ -154,71 +141,20 @@ class ExactPenaltyProblem:
         return grad
 
     # ------------------------------------------------------------------ #
-    # Noisy evaluation (runs on the stochastic processor)
-    # ------------------------------------------------------------------ #
-    def _value_noisy(self, x: np.ndarray, proc: StochasticProcessor) -> float:
-        constraints = self.problem.constraints
-        total = self.problem.objective.value(x, proc)
-        if constraints.A_eq is not None:
-            residual = noisy_sub(proc, noisy_matvec(proc, constraints.A_eq, x), constraints.b_eq)
-            if self.kind is PenaltyKind.L1:
-                contribution = float(np.abs(residual).sum())
-            else:
-                contribution = noisy_dot(proc, residual, residual)
-            total += self.penalty * contribution
-        if constraints.A_ub is not None:
-            violation = np.maximum(
-                noisy_sub(proc, noisy_matvec(proc, constraints.A_ub, x), constraints.b_ub), 0.0
-            )
-            if self.kind is PenaltyKind.L1:
-                contribution = float(violation.sum())
-            else:
-                contribution = noisy_dot(proc, violation, violation)
-            total += self.penalty * contribution
-        return float(total)
-
-    def _gradient_noisy(self, x: np.ndarray, proc: StochasticProcessor) -> np.ndarray:
-        constraints = self.problem.constraints
-        grad = self.problem.objective.gradient(x, proc)
-        if constraints.A_eq is not None:
-            residual = noisy_sub(proc, noisy_matvec(proc, constraints.A_eq, x), constraints.b_eq)
-            if self.kind is PenaltyKind.L1:
-                weights = np.sign(residual)
-                scale = self.penalty
-            else:
-                weights = residual
-                scale = 2.0 * self.penalty
-            contribution = noisy_matvec(proc, constraints.A_eq.T, weights)
-            grad = grad + proc.corrupt(scale * contribution, ops_per_element=1)
-        if constraints.A_ub is not None:
-            violation = np.maximum(
-                noisy_sub(proc, noisy_matvec(proc, constraints.A_ub, x), constraints.b_ub), 0.0
-            )
-            if self.kind is PenaltyKind.L1:
-                weights = (violation > 0).astype(float)
-                scale = self.penalty
-            else:
-                weights = violation
-                scale = 2.0 * self.penalty
-            contribution = noisy_matvec(proc, constraints.A_ub.T, weights)
-            grad = grad + proc.corrupt(scale * contribution, ops_per_element=1)
-        return grad
-
-    # ------------------------------------------------------------------ #
-    # Tensorized evaluation (whole trial batches at once)
+    # Noisy evaluation (runs on the stochastic processors, one trial per row)
     # ------------------------------------------------------------------ #
     @property
     def has_batch_gradient(self) -> bool:
-        """Whether the underlying objective carries a tensorized gradient."""
+        """Whether the underlying objective carries a noisy batched gradient."""
         return self.problem.objective.has_batch_gradient
 
     def gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
         """Noisy penalty (sub)gradients for a stacked ``(n_trials, dim)`` iterate.
 
-        Row ``t`` reproduces ``gradient(X[t], batch.procs[t])`` bit for bit:
-        the operation sequence of :meth:`_gradient_noisy` runs once over the
-        whole stack, with each trial's corruption drawn from its own
-        generator (see :class:`~repro.processor.batch.ProcessorBatch`).
+        The penalty gradient's matrix-vector products, residuals and scaled
+        contributions all run on the noisy FPU, once over the whole stack,
+        with each trial's corruption drawn from its own generator (see
+        :class:`~repro.processor.batch.ProcessorBatch`).
         """
         X_arr = np.asarray(X, dtype=np.float64)
         constraints = self.problem.constraints

@@ -9,12 +9,13 @@ Applications are converted to one of two shapes:
   which the exact-penalty transformation of
   :mod:`repro.optimizers.penalty` converts back to the unconstrained shape.
 
-Objective and gradient evaluations accept an optional stochastic processor:
-when one is supplied, the computation runs through its noisy FPU (this is the
-"bulk of the computation" that the paper exposes to faults); when it is
-``None`` the evaluation is exact, which the solvers use only for the reliable
-control phase (convergence checks, aggressive-stepping accept/reject tests)
-and the experiment harness uses for scoring.
+``value(x)`` and ``gradient(x)`` evaluate exactly; the solvers use them only
+for the reliable control phase (convergence checks, aggressive-stepping
+accept/reject tests) and the experiment harness uses them for scoring.  The
+noisy work — the "bulk of the computation" that the paper exposes to faults —
+is ``gradient_batch(X, batch)``: the gradient of a stacked
+``(n_trials, dimension)`` iterate on a
+:class:`~repro.processor.batch.ProcessorBatch`, one trial per row.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.exceptions import ProblemSpecificationError
-from repro.linalg.ops import noisy_matvec, noisy_sub
 from repro.processor.batch import ProcessorBatch, batch_matvec, batch_sub
-from repro.processor.stochastic import StochasticProcessor
 
 __all__ = [
     "UnconstrainedProblem",
@@ -37,8 +36,9 @@ __all__ = [
     "LinearProgram",
 ]
 
-ObjectiveFn = Callable[[np.ndarray, Optional[StochasticProcessor]], float]
-GradientFn = Callable[[np.ndarray, Optional[StochasticProcessor]], np.ndarray]
+ObjectiveFn = Callable[[np.ndarray], float]
+GradientFn = Callable[[np.ndarray], np.ndarray]
+BatchGradientFn = Callable[[np.ndarray, ProcessorBatch], np.ndarray]
 
 
 class UnconstrainedProblem:
@@ -49,21 +49,21 @@ class UnconstrainedProblem:
     dimension:
         Length of the decision vector ``x``.
     objective:
-        Callable ``f(x, proc)`` returning a float.  ``proc`` may be ``None``
-        for an exact evaluation.
+        Callable ``f(x)`` returning the exact objective as a float.
     gradient:
-        Callable ``∇f(x, proc)`` returning an array of shape ``(dimension,)``.
+        Callable ``∇f(x)`` returning the exact (sub)gradient, an array of
+        shape ``(dimension,)``.
     name:
         Optional label used in reports.
     initial_point:
         Default starting iterate; zeros when omitted.
     gradient_batch:
-        Optional tensorized gradient ``∇f(X, batch)`` over a stacked
+        The noisy gradient ``∇f(X, batch)`` over a stacked
         ``(n_trials, dimension)`` iterate, evaluated on a
-        :class:`~repro.processor.batch.ProcessorBatch`.  Row ``t`` must be
-        bit-identical to ``gradient(X[t], batch.procs[t])``; problems that
-        supply one can be solved by the tensorized trial backend
-        (:mod:`repro.experiments.tensor`).
+        :class:`~repro.processor.batch.ProcessorBatch`.  Row ``t`` must
+        depend only on ``X[t]`` and trial ``t``'s processor, so that a row
+        of a batch equals a batch of one.  Stochastic gradient descent needs
+        it; a problem without one can still be evaluated exactly.
     """
 
     def __init__(
@@ -73,7 +73,7 @@ class UnconstrainedProblem:
         gradient: GradientFn,
         name: str = "",
         initial_point: Optional[np.ndarray] = None,
-        gradient_batch: Optional[Callable[[np.ndarray, ProcessorBatch], np.ndarray]] = None,
+        gradient_batch: Optional[BatchGradientFn] = None,
     ) -> None:
         if dimension <= 0:
             raise ProblemSpecificationError(f"dimension must be positive, got {dimension}")
@@ -97,18 +97,14 @@ class UnconstrainedProblem:
         """A copy of the default starting iterate."""
         return self._initial_point.copy()
 
-    def value(
-        self, x: np.ndarray, proc: Optional[StochasticProcessor] = None
-    ) -> float:
-        """Objective value at ``x`` (noisy when ``proc`` is given)."""
-        return float(self._objective(np.asarray(x, dtype=np.float64), proc))
+    def value(self, x: np.ndarray) -> float:
+        """Exact objective value at ``x``."""
+        return float(self._objective(np.asarray(x, dtype=np.float64)))
 
-    def gradient(
-        self, x: np.ndarray, proc: Optional[StochasticProcessor] = None
-    ) -> np.ndarray:
-        """(Sub)gradient at ``x`` (noisy when ``proc`` is given)."""
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Exact (sub)gradient at ``x``."""
         grad = np.asarray(
-            self._gradient(np.asarray(x, dtype=np.float64), proc), dtype=np.float64
+            self._gradient(np.asarray(x, dtype=np.float64)), dtype=np.float64
         ).ravel()
         if grad.shape != (self.dimension,):
             raise ProblemSpecificationError(
@@ -118,19 +114,18 @@ class UnconstrainedProblem:
 
     @property
     def has_batch_gradient(self) -> bool:
-        """Whether this problem carries a tensorized gradient implementation."""
+        """Whether this problem carries a noisy batched gradient."""
         return self._gradient_batch is not None
 
     def gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
         """Noisy (sub)gradients for a stacked ``(n_trials, dimension)`` iterate.
 
-        Row ``t`` is bit-identical to ``gradient(X[t], batch.procs[t])``; the
-        random draws come from each trial's own injector generator in serial
-        order (see :class:`~repro.processor.batch.ProcessorBatch`).
+        Row ``t`` draws its corruption from trial ``t``'s own injector
+        generator (see :class:`~repro.processor.batch.ProcessorBatch`).
         """
         if self._gradient_batch is None:
             raise ProblemSpecificationError(
-                f"problem {self.name!r} has no tensorized gradient implementation"
+                f"problem {self.name!r} has no batched noisy gradient"
             )
         X_arr = np.asarray(X, dtype=np.float64)
         grads = np.asarray(self._gradient_batch(X_arr, batch), dtype=np.float64)
@@ -144,9 +139,9 @@ class UnconstrainedProblem:
 class QuadraticProblem(UnconstrainedProblem):
     """The least-squares objective ``f(x) = ||Ax - b||²`` (Section 4.1).
 
-    The gradient is ``∇f(x) = 2 Aᵀ(Ax - b)``; both residual and gradient are
-    evaluated with the noisy matrix-vector primitives when a processor is
-    supplied.
+    The gradient is ``∇f(x) = 2 Aᵀ(Ax - b)``; the noisy batched gradient
+    evaluates residual and gradient with the batched noisy matrix-vector
+    primitives.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, name: str = "least-squares") -> None:
@@ -166,28 +161,14 @@ class QuadraticProblem(UnconstrainedProblem):
             gradient_batch=self._lsq_gradient_batch,
         )
 
-    def _lsq_value(
-        self, x: np.ndarray, proc: Optional[StochasticProcessor]
-    ) -> float:
-        if proc is None:
-            residual = self.A @ x - self.b
-            return float(residual @ residual)
-        residual = noisy_sub(proc, noisy_matvec(proc, self.A, x), self.b)
-        from repro.linalg.ops import noisy_norm2_squared
+    def _lsq_value(self, x: np.ndarray) -> float:
+        residual = self.A @ x - self.b
+        return float(residual @ residual)
 
-        return noisy_norm2_squared(proc, residual)
-
-    def _lsq_gradient(
-        self, x: np.ndarray, proc: Optional[StochasticProcessor]
-    ) -> np.ndarray:
-        if proc is None:
-            return 2.0 * self.A.T @ (self.A @ x - self.b)
-        residual = noisy_sub(proc, noisy_matvec(proc, self.A, x), self.b)
-        grad = noisy_matvec(proc, self.A.T, residual)
-        return proc.corrupt(2.0 * grad, ops_per_element=1)
+    def _lsq_gradient(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self.A.T @ (self.A @ x - self.b)
 
     def _lsq_gradient_batch(self, X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
-        # Same operation sequence as _lsq_gradient, fused across trial rows.
         residuals = batch_sub(batch, batch_matvec(batch, self.A, X), self.b)
         grads = batch_matvec(batch, self.A.T, residuals)
         return batch.corrupt(2.0 * grads, ops_per_element=1)
@@ -329,30 +310,16 @@ class LinearProgram(ConstrainedProblem):
         c_arr = np.asarray(c, dtype=np.float64).ravel()
         self.c = c_arr
 
-        def _value(x: np.ndarray, proc: Optional[StochasticProcessor]) -> float:
-            if proc is None:
-                return float(c_arr @ x)
-            from repro.linalg.ops import noisy_dot
-
-            return noisy_dot(proc, c_arr, x)
-
-        def _gradient(
-            x: np.ndarray, proc: Optional[StochasticProcessor]
-        ) -> np.ndarray:
-            if proc is None:
-                return c_arr.copy()
-            return proc.corrupt(c_arr.copy(), ops_per_element=1)
-
         def _gradient_batch(X: np.ndarray, batch: ProcessorBatch) -> np.ndarray:
-            # Row-wise identical to _gradient: each trial's read-out of ``c``
-            # is one corruptible FLOP per entry, drawn from that trial's rng.
+            # Each trial's read-out of ``c`` is one corruptible FLOP per
+            # entry, drawn from that trial's rng.
             tiled = np.broadcast_to(c_arr, X.shape).copy()
             return batch.corrupt(tiled, ops_per_element=1)
 
         objective = UnconstrainedProblem(
             dimension=c_arr.shape[0],
-            objective=_value,
-            gradient=_gradient,
+            objective=lambda x: float(c_arr @ x),
+            gradient=lambda x: c_arr.copy(),
             name=name,
             initial_point=initial_point,
             gradient_batch=_gradient_batch,

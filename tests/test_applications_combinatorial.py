@@ -29,6 +29,7 @@ from repro.applications.sorting import (
     baseline_sort,
     default_sorting_config,
     robust_sort,
+    robust_sort_batch,
     round_to_permutation,
     sorting_linear_program,
 )
@@ -74,6 +75,17 @@ class TestSortingLP:
     def test_too_small_array_rejected(self):
         with pytest.raises(ProblemSpecificationError):
             sorting_linear_program(np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        """A NaN/inf input is a typed error, not an all-NaN failed sort."""
+        values = np.array([1.0, bad, 2.0])
+        with pytest.raises(ProblemSpecificationError, match="finite"):
+            sorting_linear_program(values)
+        with pytest.raises(ProblemSpecificationError, match="finite"):
+            robust_sort_batch(values, [reliable()])
+        with pytest.raises(ProblemSpecificationError, match="finite"):
+            robust_sort(values, reliable())
 
     def test_round_to_permutation(self):
         X = np.array([[0.1, 0.8], [0.7, 0.2]])

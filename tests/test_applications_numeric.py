@@ -21,7 +21,12 @@ from repro.applications.least_squares import (
     robust_least_squares_cg,
     robust_least_squares_sgd,
 )
-from repro.applications.svm import robust_svm_train, svm_accuracy
+from repro.applications.svm import (
+    robust_svm_train,
+    robust_svm_train_sgd,
+    robust_svm_train_sgd_batch,
+    svm_accuracy,
+)
 from repro.exceptions import ProblemSpecificationError
 from repro.processor.stochastic import StochasticProcessor
 from repro.workloads.generators import random_least_squares, random_spd_matrix, random_svm_data
@@ -193,3 +198,17 @@ class TestSVM:
             robust_svm_train(X, np.zeros(20), reliable())
         with pytest.raises(ProblemSpecificationError):
             robust_svm_train(X, y, reliable(), regularization=0.0)
+
+    @pytest.mark.parametrize(
+        "train",
+        [
+            lambda X, y: robust_svm_train(X, y, reliable()),
+            lambda X, y: robust_svm_train_sgd(X, y, reliable()),
+            lambda X, y: robust_svm_train_sgd_batch(X, y, [reliable(), reliable()]),
+        ],
+        ids=["pegasos", "hinge-sgd", "hinge-sgd-batch"],
+    )
+    def test_empty_training_set_rejected(self, train):
+        """Zero samples is a typed error, not NaN scores or numpy's ValueError."""
+        with pytest.raises(ProblemSpecificationError, match="at least one sample"):
+            train(np.zeros((0, 3)), np.zeros(0))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.recipes import ApplicationRecipe, get_recipe, list_applications, register_recipe
 from repro.core.robustify import RobustApplication, robustify
-from repro.core.transform import RobustSolveConfig, solve_penalized_lp, to_penalty_form
+from repro.core.transform import RobustSolveConfig, solve_penalized_lp_batch, to_penalty_form
 from repro.core.variants import (
     get_variant,
     list_variants,
@@ -77,7 +77,7 @@ class TestTransform:
             penalty_kind=PenaltyKind.L1,
         )
         proc = StochasticProcessor(fault_rate=0.0, rng=0)
-        solution, result = solve_penalized_lp(self._lp(), proc, config)
+        (solution,), (result,) = solve_penalized_lp_batch(self._lp(), [proc], config)
         np.testing.assert_allclose(solution, [1.0, 1.0], atol=0.15)
         assert result.iterations >= 800
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.applications.sorting import default_sorting_config
-from repro.core.transform import RobustSolveConfig, solve_penalized_lp
+from repro.core.transform import RobustSolveConfig, solve_penalized_lp_batch
 from repro.optimizers.penalty import PenaltyKind
 from repro.optimizers.problem import LinearConstraints, LinearProgram
 from repro.processor.stochastic import StochasticProcessor
@@ -111,7 +111,7 @@ class TestPenaltySolverProperties:
             penalty_kind=PenaltyKind.L1,
         )
         proc = StochasticProcessor(fault_rate=0.0, rng=0)
-        solution, _ = solve_penalized_lp(lp, proc, config)
+        (solution,), _ = solve_penalized_lp_batch(lp, [proc], config)
         for c_i, x_i in zip(lp.c, solution):
             if c_i < -0.3:
                 assert x_i > 0.6
@@ -126,7 +126,7 @@ class TestPenaltySolverProperties:
             penalty_kind=PenaltyKind.L1,
         )
         proc = StochasticProcessor(fault_rate=fault_rate, rng=1)
-        solution, result = solve_penalized_lp(lp, proc, config)
+        (solution,), (result,) = solve_penalized_lp_batch(lp, [proc], config)
         assert np.all(np.isfinite(solution))
         assert result.faults_injected >= 0
 

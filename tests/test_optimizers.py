@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ProblemSpecificationError
 from repro.optimizers.annealing import PenaltyAnnealing
-from repro.optimizers.conjugate_gradient import CGOptions, conjugate_gradient_least_squares
+from repro.optimizers.conjugate_gradient import (
+    CGOptions,
+    conjugate_gradient_least_squares_batch,
+)
 from repro.optimizers.momentum import MomentumSmoother
 from repro.optimizers.penalty import ExactPenaltyProblem, PenaltyKind
 from repro.optimizers.preconditioning import QRPreconditioner
@@ -18,7 +21,7 @@ from repro.optimizers.problem import (
     QuadraticProblem,
     UnconstrainedProblem,
 )
-from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent
+from repro.optimizers.sgd import SGDOptions, stochastic_gradient_descent_batch
 from repro.optimizers.step_schedules import (
     AggressiveStepping,
     ConstantSchedule,
@@ -26,12 +29,23 @@ from repro.optimizers.step_schedules import (
     SqrtDecaySchedule,
     make_schedule,
 )
+from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 from repro.workloads.generators import random_least_squares
 
 
 def reliable():
     return StochasticProcessor(fault_rate=0.0, rng=0)
+
+
+def sgd(problem, proc, options, x0=None):
+    """One stochastic gradient descent solve: a batch of one."""
+    return stochastic_gradient_descent_batch(problem, ProcessorBatch([proc]), options, x0)[0]
+
+
+def cg(A, b, proc, options=None):
+    """One restarted-CGNR solve: a batch of one."""
+    return conjugate_gradient_least_squares_batch(A, b, [proc], options)[0]
 
 
 class TestStepSchedules:
@@ -176,13 +190,13 @@ class TestProblems:
         assert lp.objective.value(np.array([1.0, 1.0])) == pytest.approx(-1.0)
 
     def test_dimension_mismatch_raises(self):
-        objective = UnconstrainedProblem(3, lambda x, p: 0.0, lambda x, p: np.zeros(3))
+        objective = UnconstrainedProblem(3, lambda x: 0.0, lambda x: np.zeros(3))
         constraints = LinearConstraints(A_ub=np.eye(2), b_ub=np.ones(2))
         with pytest.raises(ProblemSpecificationError):
             ConstrainedProblem(objective, constraints)
 
     def test_bad_gradient_shape_raises(self):
-        problem = UnconstrainedProblem(2, lambda x, p: 0.0, lambda x, p: np.zeros(3))
+        problem = UnconstrainedProblem(2, lambda x: 0.0, lambda x: np.zeros(3))
         with pytest.raises(ProblemSpecificationError):
             problem.gradient(np.zeros(2))
 
@@ -239,10 +253,10 @@ class TestExactPenalty:
     def test_noisy_evaluation_runs(self):
         penalized = ExactPenaltyProblem(self._simple_lp(), penalty=10.0)
         proc = StochasticProcessor(fault_rate=0.1, rng=0)
-        value = penalized.value(np.array([2.0]), proc)
-        grad = penalized.gradient(np.array([2.0]), proc)
-        assert np.isscalar(value) or isinstance(value, float)
-        assert grad.shape == (1,)
+        batch = ProcessorBatch([proc])
+        grads = penalized.gradient_batch(np.array([[2.0]]), batch)
+        batch.flush()
+        assert grads.shape == (1, 1)
         assert proc.flops > 0
 
 
@@ -251,7 +265,7 @@ class TestSGD:
         A, b, _ = random_least_squares(30, 5, rng=rng)
         problem = QuadraticProblem(A, b)
         options = SGDOptions(iterations=500, schedule="const", base_step=0.3 / np.linalg.norm(A, 2) ** 2)
-        result = stochastic_gradient_descent(problem, reliable(), options)
+        result = sgd(problem, reliable(), options)
         np.testing.assert_allclose(result.x, problem.exact_solution(), atol=1e-2)
         assert result.converged
         assert result.flops > 0
@@ -261,46 +275,38 @@ class TestSGD:
         problem = QuadraticProblem(A, b)
         proc = StochasticProcessor(fault_rate=0.01, rng=4)
         options = SGDOptions(iterations=800, schedule="ls", base_step=0.5 / np.linalg.norm(A, 2) ** 2)
-        result = stochastic_gradient_descent(problem, proc, options)
+        result = sgd(problem, proc, options)
         error = np.linalg.norm(result.x - problem.exact_solution()) / np.linalg.norm(problem.exact_solution())
         assert error < 0.5
         assert result.faults_injected > 0
 
-    def test_history_recording(self, rng):
-        A, b, _ = random_least_squares(20, 3, rng=rng)
-        problem = QuadraticProblem(A, b)
-        options = SGDOptions(iterations=100, record_history=True, record_every=10,
-                             base_step=0.1 / np.linalg.norm(A, 2) ** 2)
-        result = stochastic_gradient_descent(problem, reliable(), options)
-        assert len(result.history) == 10
-        assert result.best_recorded_objective() is not None
-
     def test_gradient_sanitization_zeroes_nonfinite(self):
-        calls = {"n": 0}
+        def bad_gradients(X, batch):
+            G = np.ones_like(X)
+            G[:, 0] = np.nan
+            return G
 
-        def bad_gradient(x, proc):
-            calls["n"] += 1
-            g = np.ones(2)
-            g[0] = np.nan
-            return g
-
-        problem = UnconstrainedProblem(2, lambda x, p: float(x @ x), bad_gradient)
+        problem = UnconstrainedProblem(
+            2, lambda x: float(x @ x), lambda x: 2.0 * x, gradient_batch=bad_gradients
+        )
         options = SGDOptions(iterations=10, schedule="const", base_step=0.1)
-        result = stochastic_gradient_descent(problem, reliable(), options)
+        result = sgd(problem, reliable(), options)
         assert np.all(np.isfinite(result.x))
         assert result.x[0] == 0.0  # NaN component never applied
 
     def test_gradient_clip_and_outlier_rejection(self):
-        def spiky_gradient(x, proc):
-            return np.array([1.0, 1.0, 1e9])
+        def spiky_gradients(X, batch):
+            return np.tile([1.0, 1.0, 1e9], (X.shape[0], 1))
 
-        problem = UnconstrainedProblem(3, lambda x, p: 0.0, spiky_gradient)
+        problem = UnconstrainedProblem(
+            3, lambda x: 0.0, lambda x: np.zeros(3), gradient_batch=spiky_gradients
+        )
         options = SGDOptions(iterations=1, schedule="const", base_step=1.0,
                              outlier_rejection=1e3)
-        result = stochastic_gradient_descent(problem, reliable(), options)
+        result = sgd(problem, reliable(), options)
         assert result.x[2] == 0.0  # outlier component rejected
         options = SGDOptions(iterations=1, schedule="const", base_step=1.0, gradient_clip=10.0)
-        result = stochastic_gradient_descent(problem, reliable(), options)
+        result = sgd(problem, reliable(), options)
         assert result.x[2] == -10.0  # clipped, not rejected
 
     def test_aggressive_phase_only_accepts_improvements(self, rng):
@@ -311,7 +317,7 @@ class TestSGD:
             aggressive=AggressiveStepping(max_iterations=100),
         )
         start_value = problem.value(problem.initial_point())
-        result = stochastic_gradient_descent(problem, reliable(), options)
+        result = sgd(problem, reliable(), options)
         assert result.objective <= start_value
         assert result.iterations > 5
 
@@ -323,40 +329,39 @@ class TestSGD:
         with pytest.raises(ProblemSpecificationError):
             SGDOptions(outlier_rejection=0.5)
 
+    def test_problem_without_batch_gradient_rejected(self):
+        problem = UnconstrainedProblem(2, lambda x: float(x @ x), lambda x: 2.0 * x)
+        with pytest.raises(ProblemSpecificationError, match="batched noisy gradient"):
+            sgd(problem, reliable(), SGDOptions(iterations=1))
+
     def test_bad_initial_point_shape(self, rng):
         A, b, _ = random_least_squares(10, 3, rng=rng)
         problem = QuadraticProblem(A, b)
         with pytest.raises(ProblemSpecificationError):
-            stochastic_gradient_descent(problem, reliable(), SGDOptions(iterations=1), x0=np.zeros(5))
+            sgd(problem, reliable(), SGDOptions(iterations=1), x0=np.zeros(5))
 
 
 class TestConjugateGradient:
     def test_exact_convergence_fault_free(self, rng):
         A, b, _ = random_least_squares(40, 8, rng=rng)
-        result = conjugate_gradient_least_squares(A, b, reliable(), CGOptions(iterations=16))
+        result = cg(A, b, reliable(), CGOptions(iterations=16))
         expected, *_ = np.linalg.lstsq(A, b, rcond=None)
         np.testing.assert_allclose(result.x, expected, rtol=1e-2, atol=1e-3)
+        assert result.iterations == 16
+        assert result.flops > 0
 
     def test_noisy_cg_stays_accurate(self, rng):
         A, b, _ = random_least_squares(60, 8, rng=rng)
         expected, *_ = np.linalg.lstsq(A, b, rcond=None)
         proc = StochasticProcessor(fault_rate=0.01, rng=5)
-        result = conjugate_gradient_least_squares(A, b, proc, CGOptions(iterations=10))
+        result = cg(A, b, proc, CGOptions(iterations=10))
         error = np.linalg.norm(result.x - expected) / np.linalg.norm(expected)
         assert error < 1.0
         assert np.all(np.isfinite(result.x))
 
-    def test_history_and_accounting(self, rng):
-        A, b, _ = random_least_squares(20, 4, rng=rng)
-        result = conjugate_gradient_least_squares(
-            A, b, reliable(), CGOptions(iterations=6, record_history=True)
-        )
-        assert len(result.history) == 6
-        assert result.flops > 0
-
     def test_shape_validation(self):
         with pytest.raises(ProblemSpecificationError):
-            conjugate_gradient_least_squares(np.ones((4, 2)), np.ones(3), reliable())
+            cg(np.ones((4, 2)), np.ones(3), reliable())
         with pytest.raises(ProblemSpecificationError):
             CGOptions(iterations=0)
 
