@@ -8,9 +8,10 @@ success-rate formatting all come from the application-kernel registry
 (``repro.experiments.kernels``) — this script holds no figure table of its
 own.  Sweeps execute through the experiment engine, so the executor is
 selectable (``--executor auto`` picks the tensorized backend for every
-batch-capable kernel) and completed figures are cached on disk keyed by a
-content hash of their spec: re-running with unchanged parameters replays
-cached tables instead of recomputing.
+batch-capable kernel) and completed figures are stored in a
+:class:`~repro.experiments.campaign.ShardStore` (``figures/`` under
+``--cache-dir``) keyed by a content hash of their spec: re-running with
+unchanged parameters replays stored tables instead of recomputing.
 
 Run:  python examples/reproduce_figures.py [--paper-scale] [--output DIR]
           [--executor {auto,serial,vectorized}]
@@ -22,9 +23,8 @@ Run:  python examples/reproduce_figures.py [--paper-scale] [--output DIR]
 
 ``--backend`` selects the compute backend for every trial (see
 ``docs/backends.md``); the default follows the ``REPRO_BACKEND`` / numpy
-precedence.  Bit-identical backends (``cnative``) only change wall time, so
-their figures share the cache with numpy runs; statistical-tier backends
-(``cnative-fused``) enter the cache key and never collide.
+precedence.  Every backend is bit-identical to numpy and only changes wall
+time, so figures share the cache whatever backend computed them.
 
 ``--budget adaptive`` (scenario-grid studies only) replaces the fixed
 per-point trial count with the engine's confidence-target mode: each
@@ -50,6 +50,7 @@ from pathlib import Path
 
 from repro.backends import resolve_backend, use_backend
 from repro.experiments import kernels
+from repro.experiments.campaign import ShardStore
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import list_executors
 from repro.experiments.figures import DEFAULT_CROSS_MODEL_SCENARIOS
@@ -98,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="C", help="confidence level for --budget "
                         "adaptive (default: 0.95)")
     parser.add_argument("--cache-dir", type=Path, default=Path(".repro-cache"),
-                        help="figure cache directory (default: .repro-cache)")
+                        help="artifact store holding cached figures "
+                        "(default: .repro-cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk figure cache")
     parser.add_argument("--refresh", action="store_true",
@@ -166,6 +168,16 @@ def resolve_policy(parser, args):
         parser.error(str(error))
 
 
+def cached_figure(store, key, build, refresh: bool):
+    """``key``'s stored figure, or ``build()`` it and store the result."""
+    figure = None if store is None or refresh else store.load_figure(key)
+    if figure is None:
+        figure = build()
+        if store is not None:
+            store.store_figure(key, figure)
+    return figure
+
+
 def main(argv=None) -> None:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -185,11 +197,8 @@ def main(argv=None) -> None:
         parser.error("--scenario requires --grid")
     if args.list:
         for spec in kernels.list_kernels():
-            tags = []
-            if spec.sweep:
-                tags.append("sweep")
-            if spec.batched:
-                tags.append("batched")
+            # Every sweep kernel has a tensorized batch tier.
+            tags = ["sweep", "batched"] if spec.sweep else []
             suffix = f" [{', '.join(tags)}]" if tags else ""
             print(f"{spec.name:24s} {spec.figure_id:14s} {spec.figure}{suffix}")
         return
@@ -210,9 +219,9 @@ def main(argv=None) -> None:
 
     engine = ExperimentEngine(
         executor=args.executor,
-        cache_dir=None if args.no_cache else args.cache_dir,
         progress=progress if args.progress else None,
     )
+    store = None if args.no_cache else ShardStore(args.cache_dir)
 
     if args.grid:
         from repro.experiments.spec import DEFAULT_FAULT_RATES
@@ -248,19 +257,16 @@ def main(argv=None) -> None:
                 # Budget-aware key: adaptive studies must never replay a
                 # fixed-count cache entry (or vice versa).
                 key["budget"] = policy.fingerprint()
-            if backend.changes_results:
-                # Statistical-tier backends alter trial values, so their
-                # figures must never replay a numpy cache entry.
-                key["backend"] = backend.name
             with use_backend(backend):
-                figure = engine.run_figure(
+                figure = cached_figure(
+                    store,
                     key,
                     lambda: spec.build_scenario_study(
                         scenarios, trials=grid_trials,
                         fault_rates=DEFAULT_FAULT_RATES, engine=engine,
                         policy=policy, **kwargs
                     ),
-                    refresh=args.refresh,
+                    args.refresh,
                 )
             text = format_figure(figure, use_success_rate=spec.use_success_rate)
             print("\n" + text)
@@ -272,14 +278,10 @@ def main(argv=None) -> None:
     for spec in select_kernels(args.only):
         kwargs = spec.reduced_kwargs(trials, scale)
         key = {"figure": spec.figure, "params": spec.cache_params(kwargs)}
-        if backend.changes_results:
-            key["backend"] = backend.name
         if spec.takes_engine:
             kwargs = dict(kwargs, engine=engine)
         with use_backend(backend):
-            figure = engine.run_figure(
-                key, lambda: spec.build(**kwargs), refresh=args.refresh
-            )
+            figure = cached_figure(store, key, lambda: spec.build(**kwargs), args.refresh)
         text = format_figure(figure, use_success_rate=spec.use_success_rate)
         print("\n" + text)
         if args.output is not None:

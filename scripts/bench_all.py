@@ -40,8 +40,7 @@ sets must match bit for bit; the record stores both wall times and their
 ratio.  Non-sweep kernels run once and record wall time only.  Under a
 non-default ``--backend`` the serial reference is replaced by the
 *vectorized numpy* reference: the record stores ``numpy_seconds``,
-``speedup_vs_numpy``, and ``bit_identical_to_numpy`` (``null`` for
-statistical-tier backends, whose equivalence is tolerance-based), which is
+``speedup_vs_numpy``, and ``bit_identical_to_numpy``, which is
 the acceptance measure for a compiled backend — same executor tier, numpy
 kernels versus compiled kernels.
 
@@ -201,9 +200,7 @@ def bench_kernel(spec: kernels.KernelSpec, args, backend) -> dict:
     tier against the serial reference.  Under a compiled backend the serial
     reference is replaced by the *vectorized numpy* reference — the
     executor tier is held fixed so the ratio isolates the kernel
-    implementations — and equivalence is judged against that reference
-    (skipped for statistical-tier backends, whose contract is
-    tolerance-based, not bitwise).
+    implementations — and equivalence is judged against that reference.
     """
     kwargs = spec.reduced_kwargs(args.trials, args.scale)
     record = {
@@ -212,7 +209,7 @@ def bench_kernel(spec: kernels.KernelSpec, args, backend) -> dict:
         "figure_id": spec.figure_id,
         "params": {key: value for key, value in kwargs.items()},
         "sweep": spec.sweep,
-        "batched": spec.batched,
+        "batched": spec.sweep,
         "commit": commit_hash(),
         "generated_by": "scripts/bench_all.py",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -248,9 +245,7 @@ def bench_kernel(spec: kernels.KernelSpec, args, backend) -> dict:
             numpy_seconds / max(fast_seconds, 1e-9), 3
         )
         record["bit_identical_to_numpy"] = (
-            None
-            if backend.changes_results
-            else series_values(fast_figure) == series_values(reference_figure)
+            series_values(fast_figure) == series_values(reference_figure)
         )
         return record
 
@@ -294,9 +289,7 @@ def bench_scenario_grid(args, backend) -> dict:
     Runs a cross-fault-model sorting grid (two series × four scenarios ×
     the default rate grid) under both executors; ``vectorized`` must be
     bit-identical to the serial reference and the record captures its
-    speedup.  Both run under the selected backend, so the bit-identity
-    contract holds for statistical-tier backends too (both see the same
-    kernels).
+    speedup.  Both run under the selected backend.
     """
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
@@ -359,8 +352,7 @@ def bench_campaign(args, backend) -> dict:
     baseline a parallel speedup claim has to beat.  A second submission of
     the identical workload then replays the resume path, which must reuse
     every shard (``computed == 0``) and merge to the same values.  Every leg
-    runs under the selected backend, so the bit-identity verdict holds for
-    statistical-tier backends too.
+    runs under the selected backend.
     """
     warmup_seconds = warm_up_grid(backend)
     iterations = max(int(10000 * args.scale), 500)
@@ -782,12 +774,7 @@ def main() -> int:
             if not record["sweep"]:
                 print(f"  wall {record['wall_seconds']:.2f}s")
             elif record.get("numpy_seconds") is not None:
-                identity = record["bit_identical_to_numpy"]
-                verdict = (
-                    "ok" if identity
-                    else "n/a (statistical tier)" if identity is None
-                    else "MISMATCH"
-                )
+                verdict = "ok" if record["bit_identical_to_numpy"] else "MISMATCH"
                 print(
                     f"  numpy-vectorized {record['numpy_seconds']:.2f}s, "
                     f"{backend.name} {record['wall_seconds']:.2f}s, speedup "

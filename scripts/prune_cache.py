@@ -1,10 +1,9 @@
 #!/usr/bin/env python
-"""Garbage-collect result-cache and campaign-store artifact directories.
+"""Garbage-collect artifact-store directories.
 
-Both the figure :class:`~repro.experiments.cache.ResultCache` and the
-campaign :class:`~repro.experiments.campaign.store.ShardStore` accumulate
-standalone JSON artifacts that are never deleted by the writers — this tool
-is the retention policy, applied explicitly:
+The :class:`~repro.experiments.campaign.store.ShardStore` (shards, figures
+and manifests) accumulates standalone JSON artifacts that are never deleted
+by the writers — this tool is the retention policy, applied explicitly:
 
     PYTHONPATH=src python scripts/prune_cache.py .repro-cache --max-age 7d
     PYTHONPATH=src python scripts/prune_cache.py .repro-cache/campaigns \
@@ -79,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("directories", nargs="+", metavar="DIR",
-                        help="artifact directories to prune (ResultCache or "
-                        "ShardStore roots)")
+                        help="artifact directories to prune (ShardStore "
+                        "roots or subdirectories)")
     parser.add_argument("--max-age", type=parse_age, default=None, metavar="AGE",
                         help="remove artifacts older than AGE "
                         "(seconds, or 30m / 12h / 7d)")

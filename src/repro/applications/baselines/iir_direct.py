@@ -30,9 +30,6 @@ def _backend_kernel(proc: StochasticProcessor):
     the plain configuration: generator-timed faults, the stock inverse-CDF
     bit sampler, and no ambient ``fpu.protected()`` region.
     """
-    impl = active_backend().kernel("direct_form_filter")
-    if impl is None:
-        return None
     injector = proc.injector
     if (
         injector.uses_lfsr
@@ -40,7 +37,7 @@ def _backend_kernel(proc: StochasticProcessor):
         or type(injector.bit_distribution).sample is not BitPositionDistribution.sample
     ):
         return None
-    return impl.func
+    return active_backend().kernel("direct_form_filter")
 
 
 def noisy_direct_form_filter(

@@ -4,20 +4,16 @@ Importing this package registers every built-in backend:
 
 * ``numpy`` — the always-available reference tier (no kernel overrides).
 * ``cnative`` — cffi-compiled C kernels, bit-identical to numpy.
-* ``cnative-fused`` — cnative plus statistical-tier fused reductions.
 
-See ``docs/backends.md`` for the selection precedence, equivalence tiers,
-and the per-kernel support matrix.
+See ``docs/backends.md`` for the selection precedence, the bit-identity
+contract, and the kernels each backend provides.
 """
 
 from repro.backends.registry import (
-    BIT_IDENTICAL,
     DEFAULT_BACKEND,
     ENV_VAR,
-    STATISTICAL,
     BackendUnavailable,
     ComputeBackend,
-    KernelImpl,
     active_backend,
     available_backends,
     get_backend,
@@ -34,11 +30,8 @@ from repro.backends import numpy_backend as _numpy_backend  # noqa: F401,E402
 __all__ = [
     "ENV_VAR",
     "DEFAULT_BACKEND",
-    "BIT_IDENTICAL",
-    "STATISTICAL",
     "BackendUnavailable",
     "ComputeBackend",
-    "KernelImpl",
     "register_backend",
     "get_backend",
     "list_backends",

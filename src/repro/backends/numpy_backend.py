@@ -8,16 +8,16 @@ kernels are pinned against.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.backends.registry import ComputeBackend, KernelImpl, register_backend
+from repro.backends.registry import ComputeBackend, register_backend
 
 __all__ = ["NUMPY"]
 
 
-def _load() -> Dict[str, KernelImpl]:
+def _load() -> Dict[str, Callable]:
     return {}
 
 

@@ -44,7 +44,7 @@ backend (:mod:`repro.experiments.tensor`): it runs a whole (fault-rate ×
 trials) series grid as one stacked numpy computation for trial functions
 that declare a batch implementation.  Multi-core runs go through the
 campaign layer's ``process`` worker pool (:mod:`repro.experiments.campaign`).  Completed figures can
-be cached on disk through :class:`~repro.experiments.cache.ResultCache`.
+be kept on disk through :meth:`~repro.experiments.campaign.ShardStore.store_figure`.
 """
 
 from repro.experiments.engine import ExperimentEngine, ProgressEvent
@@ -65,7 +65,7 @@ from repro.experiments.kernels import (
     kernel_names,
     list_kernels,
 )
-from repro.experiments.cache import ResultCache, spec_hash
+from repro.experiments.cache import spec_hash
 from repro.experiments.results import FigureResult, SeriesResult
 from repro.experiments.scenarios import (
     Scenario,
@@ -114,7 +114,6 @@ __all__ = [
     "list_kernels",
     "get_executor",
     "list_executors",
-    "ResultCache",
     "spec_hash",
     "FigureResult",
     "SeriesResult",

@@ -1,20 +1,21 @@
-"""On-disk cache of completed figures, keyed by a content hash of the spec.
+"""Content addressing and atomic publication for the on-disk artifact store.
 
-A cache entry is one JSON file named after the SHA-256 of its canonicalized
-key payload.  The payload is an arbitrary JSON-serializable mapping supplied
-by the caller — for figure reproductions it combines the sweep fingerprint
-(series, rates, trials, seed, fault model, and for scenario grids every
-scenario's resolved configuration: model name, dtype, the full bit-position
-pmf, pinned rate or voltage) with the figure's workload parameters — so any
-change to the spec changes the hash and invalidates the entry, while
-re-running an unchanged spec is a cheap file read.  Executor
-choice is deliberately *not* part of the key: executors are bit-identical by
-contract, so a figure computed by the process pool satisfies a later serial
-request.  The trial-budget policy *is* part of the key — an adaptive
+:func:`spec_hash` names an artifact by the SHA-256 of its canonicalized key
+payload, and :func:`atomic_write_json` publishes it.  The payload is an
+arbitrary JSON-serializable mapping supplied by the caller — for figure
+reproductions it combines the sweep fingerprint (series, rates, trials,
+seed, fault model, and for scenario grids every scenario's resolved
+configuration: model name, dtype, the full bit-position pmf, pinned rate or
+voltage) with the figure's workload parameters — so any change to the spec
+changes the hash, while re-running an unchanged spec is a cheap file read.
+Executor and compute-backend choice are deliberately *not* part of the key:
+both are bit-identical by contract, so a figure computed one way satisfies
+a later request made another way.  The trial-budget policy *is* part of
+the key — an adaptive
 (:class:`~repro.experiments.sequential.ConfidenceTarget`) sweep fingerprint
 carries a ``budget`` block, so adaptive and fixed-count runs can never
-collide on a cache entry, while no-policy fingerprints (and their hashes)
-are byte-identical to historical ones.
+collide on an entry, while no-policy fingerprints (and their hashes) are
+byte-identical to historical ones.
 """
 
 from __future__ import annotations
@@ -24,14 +25,9 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping
 
-from repro.experiments.results import FigureResult
-
-__all__ = ["spec_hash", "atomic_write_json", "ResultCache"]
-
-#: Bumped whenever the cached representation changes incompatibly.
-_SCHEMA_VERSION = 1
+__all__ = ["spec_hash", "atomic_write_json"]
 
 
 def atomic_write_json(path: Path, entry: Mapping[str, Any]) -> Path:
@@ -42,9 +38,8 @@ def atomic_write_json(path: Path, entry: Mapping[str, Any]) -> Path:
     truncated entry behind and two processes publishing the same path
     concurrently cannot interleave their writes into one corrupt file (each
     publishes its own complete file; last rename wins).  This is the single
-    write discipline of every on-disk artifact store — the figure
-    :class:`ResultCache` and the campaign layer's
-    :class:`~repro.experiments.campaign.ShardStore` both route through it.
+    write discipline of the on-disk artifact store
+    (:class:`~repro.experiments.campaign.ShardStore`).
 
     No ``default=str`` fallback: a non-JSON value in the entry must fail
     loudly at store time, not round-trip as its ``str()``.
@@ -93,54 +88,3 @@ def spec_hash(payload: Mapping[str, Any]) -> str:
     lossy stringification.
     """
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-class ResultCache:
-    """Directory-backed store of :class:`FigureResult` entries.
-
-    Parameters
-    ----------
-    directory:
-        Where entries live; created on first write.  Entries are standalone
-        JSON files, safe to delete individually or wholesale.
-    """
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-
-    def _path(self, payload: Mapping[str, Any]) -> Path:
-        return self.directory / f"{spec_hash(payload)}.json"
-
-    def load(self, payload: Mapping[str, Any]) -> Optional[FigureResult]:
-        """The cached figure for ``payload``, or ``None`` on miss.
-
-        Unreadable or schema-incompatible entries are treated as misses so a
-        stale cache directory degrades to recomputation, never to an error.
-        """
-        path = self._path(payload)
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if entry.get("schema") != _SCHEMA_VERSION:
-            return None
-        try:
-            return FigureResult.from_dict(entry["figure"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def store(self, payload: Mapping[str, Any], figure: FigureResult) -> Path:
-        """Write ``figure`` under ``payload``'s hash and return the file path.
-
-        The write goes through a per-writer temporary file and an atomic
-        rename, so a crashed run cannot leave a truncated entry behind and
-        two processes storing the same spec concurrently cannot interleave
-        their writes into one corrupt entry (each publishes its own complete
-        file; last rename wins — both contents are equivalent by key).
-        """
-        entry = {
-            "schema": _SCHEMA_VERSION,
-            "key": dict(payload),
-            "figure": figure.to_dict(),
-        }
-        return atomic_write_json(self._path(payload), entry)

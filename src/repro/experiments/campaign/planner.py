@@ -10,13 +10,13 @@ points.
 
 Shard ids are *content addresses*: the SHA-256 of the sweep fingerprint, the
 caller's workload key, and the shard's own point list (the same strict
-canonical-JSON hash the figure cache uses).  Two campaigns planning the same
-workload therefore produce the same shard ids and dedupe each other's work
-through the shared store, while any change to the grid, the budget policy, a
-statistical-tier backend, or the workload key changes every affected id.
+canonical-JSON hash that names stored figures).  Two campaigns planning the
+same workload therefore produce the same shard ids and dedupe each other's
+work through the shared store, while any change to the grid, the budget
+policy, or the workload key changes every affected id.
 
 The fingerprint cannot see inside trial-function closures — exactly the
-:class:`~repro.experiments.cache.ResultCache` caveat — so callers must fold
+caveat of stored figure keys — so callers must fold
 workload parameters (iteration budgets, problem sizes, generator seeds) into
 ``key``; ``scripts/run_campaign.py`` does this from its CLI arguments.
 """

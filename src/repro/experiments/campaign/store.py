@@ -1,9 +1,9 @@
-"""The shared shard artifact store: per-shard partial results on disk.
+"""The artifact store: shard results, manifests and finished figures on disk.
 
-:class:`ShardStore` promotes the figure :class:`~repro.experiments.cache.ResultCache`
-discipline — content-hash file names, strict canonical JSON, per-writer
-atomic renames, unreadable-entry-as-miss — from whole figures down to
-per-shard partial results.  Layout under the store directory:
+:class:`ShardStore` is the one content-addressed store of the experiments
+subsystem: content-hash file names, strict canonical JSON, per-writer
+atomic renames, unreadable-entry-as-miss.  Layout under the store
+directory:
 
 ``shards/<shard_id>.json``
     One completed shard: the shard's points, each point's trial values (and,
@@ -23,9 +23,15 @@ per-shard partial results.  Layout under the store directory:
     far, updated as probes land so ``run_search.py --status`` can account
     for an interrupted search.
 
-Shard artifacts are standalone JSON files, safe to delete individually or
-wholesale — removal only ever costs recomputation; :func:`prune_artifacts`
-is the garbage-collection primitive behind ``scripts/prune_cache.py``.
+``figures/<spec_hash(key)>.json``
+    One finished figure (see ``examples/reproduce_figures.py``), named by
+    the content hash of the key payload that determines its values, so
+    re-running an unchanged spec is a file read.
+
+Shard and figure artifacts are standalone JSON files, safe to delete
+individually or wholesale — removal only ever costs recomputation;
+:func:`prune_artifacts` is the garbage-collection primitive behind
+``scripts/prune_cache.py``.
 Manifests are different: they are the *accounting* for artifacts, so by
 default pruning keeps them even when it removes every shard they reference —
 ``--status`` on a pruned store then truthfully reports those shards as
@@ -40,8 +46,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.experiments.cache import atomic_write_json
+from repro.experiments.cache import atomic_write_json, spec_hash
 from repro.experiments.campaign.planner import Shard, decode_point, encode_point
+from repro.experiments.results import FigureResult
 from repro.experiments.spec import PointKey
 
 __all__ = [
@@ -106,7 +113,7 @@ class ShardResult:
 
 
 class ShardStore:
-    """Directory-backed store of shard artifacts and campaign manifests."""
+    """Directory-backed store of shard artifacts, manifests and figures."""
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
@@ -123,6 +130,10 @@ class ShardStore:
     def searches_dir(self) -> Path:
         return self.directory / "searches"
 
+    @property
+    def figures_dir(self) -> Path:
+        return self.directory / "figures"
+
     def shard_path(self, shard_id: str) -> Path:
         return self.shards_dir / f"{shard_id}.json"
 
@@ -131,6 +142,30 @@ class ShardStore:
 
     def search_path(self, search_id: str) -> Path:
         return self.searches_dir / f"{search_id}.json"
+
+    def figure_path(self, key: Mapping[str, Any]) -> Path:
+        return self.figures_dir / f"{spec_hash(key)}.json"
+
+    # ------------------------------------------------------------------ #
+    # Validated entry I/O (every entry kind goes through this pair)
+    # ------------------------------------------------------------------ #
+    def _write(self, path: Path, kind: str, entry_id: str, body: Mapping[str, Any]) -> Path:
+        """Publish ``body`` stamped with the schema version and its own id."""
+        entry = dict(body, schema=STORE_SCHEMA_VERSION)
+        entry[kind] = entry_id
+        return atomic_write_json(path, entry)
+
+    def _read(self, path: Path, kind: str, entry_id: str) -> Optional[Dict[str, Any]]:
+        """The entry at ``path``; ``None`` when unreadable or stamped otherwise."""
+        try:
+            entry = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(entry, dict):
+            return None
+        if entry.get("schema") != STORE_SCHEMA_VERSION or entry.get(kind) != entry_id:
+            return None
+        return entry
 
     # ------------------------------------------------------------------ #
     # Shard artifacts
@@ -143,13 +178,8 @@ class ShardStore:
         recomputation, never to an error or — worse — a silently wrong
         merge.
         """
-        try:
-            entry = json.loads(self.shard_path(shard.shard_id).read_text())
-        except (OSError, ValueError):
-            return None
-        if entry.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        if entry.get("shard") != shard.shard_id:
+        entry = self._read(self.shard_path(shard.shard_id), "shard", shard.shard_id)
+        if entry is None:
             return None
         try:
             result = ShardResult.from_payload(entry["result"])
@@ -169,12 +199,10 @@ class ShardStore:
             raise ValueError(
                 f"shard result points do not match shard {shard.shard_id[:12]}"
             )
-        entry = {
-            "schema": STORE_SCHEMA_VERSION,
-            "shard": shard.shard_id,
-            "result": result.to_payload(),
-        }
-        return atomic_write_json(self.shard_path(shard.shard_id), entry)
+        return self._write(
+            self.shard_path(shard.shard_id), "shard", shard.shard_id,
+            {"result": result.to_payload()},
+        )
 
     def has_shard(self, shard: Shard) -> bool:
         return self.load_shard(shard) is not None
@@ -197,39 +225,52 @@ class ShardStore:
     # Campaign manifests
     # ------------------------------------------------------------------ #
     def store_manifest(self, campaign_id: str, manifest: Mapping[str, Any]) -> Path:
-        entry = dict(manifest, schema=STORE_SCHEMA_VERSION, campaign=campaign_id)
-        return atomic_write_json(self.manifest_path(campaign_id), entry)
+        return self._write(self.manifest_path(campaign_id), "campaign", campaign_id, manifest)
 
     def load_manifest(self, campaign_id: str) -> Optional[Dict[str, Any]]:
-        try:
-            entry = json.loads(self.manifest_path(campaign_id).read_text())
-        except (OSError, ValueError):
-            return None
-        if entry.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        if entry.get("campaign") != campaign_id:
-            return None
-        return entry
+        return self._read(self.manifest_path(campaign_id), "campaign", campaign_id)
 
     # ------------------------------------------------------------------ #
     # Search manifests
     # ------------------------------------------------------------------ #
     def store_search(self, search_id: str, manifest: Mapping[str, Any]) -> Path:
         """Publish a search manifest (same atomic discipline as campaigns)."""
-        entry = dict(manifest, schema=STORE_SCHEMA_VERSION, search=search_id)
-        return atomic_write_json(self.search_path(search_id), entry)
+        return self._write(self.search_path(search_id), "search", search_id, manifest)
 
     def load_search(self, search_id: str) -> Optional[Dict[str, Any]]:
         """A search manifest by id, or ``None`` (unreadable entries miss)."""
+        return self._read(self.search_path(search_id), "search", search_id)
+
+    # ------------------------------------------------------------------ #
+    # Finished figures
+    # ------------------------------------------------------------------ #
+    def store_figure(self, key: Mapping[str, Any], figure: FigureResult) -> Path:
+        """Publish ``figure`` under the content hash of ``key`` (atomic).
+
+        ``key`` must capture everything that determines the figure's values
+        (workload parameters, trials, iterations, seed, ...).  Two writers
+        storing one key concurrently each publish a complete file; the last
+        rename wins, and both contents are equivalent by key.
+        """
+        path = self.figure_path(key)
+        return self._write(
+            path, "figure", path.stem, {"key": dict(key), "result": figure.to_dict()}
+        )
+
+    def load_figure(self, key: Mapping[str, Any]) -> Optional[FigureResult]:
+        """The stored figure for ``key``, or ``None`` on miss.
+
+        Unreadable or schema-incompatible entries are misses, so a stale
+        store degrades to recomputation, never to an error.
+        """
+        path = self.figure_path(key)
+        entry = self._read(path, "figure", path.stem)
+        if entry is None:
+            return None
         try:
-            entry = json.loads(self.search_path(search_id).read_text())
-        except (OSError, ValueError):
+            return FigureResult.from_dict(entry["result"])
+        except (KeyError, TypeError, ValueError):
             return None
-        if entry.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        if entry.get("search") != search_id:
-            return None
-        return entry
 
     # ------------------------------------------------------------------ #
     # Garbage collection
@@ -284,9 +325,9 @@ def prune_artifacts(
 ) -> PruneReport:
     """Garbage-collect an artifact directory by age and/or total size.
 
-    Works on any directory of standalone JSON artifacts — a figure
-    :class:`~repro.experiments.cache.ResultCache` directory or a
-    :class:`ShardStore` tree — scanning ``*.json`` entries recursively plus
+    Works on any directory of standalone JSON artifacts — typically a
+    :class:`ShardStore` tree (shards and figures alike are prunable
+    artifacts) — scanning ``*.json`` entries recursively plus
     any orphaned ``*.tmp`` files a crashed writer left behind.  Entries
     older than ``max_age_seconds`` are removed first; if the survivors still
     exceed ``max_bytes``, the oldest are removed until the total fits

@@ -1,4 +1,4 @@
-"""The experiment engine: plan, execute, stream progress, cache figures.
+"""The experiment engine: plan, execute, stream progress.
 
 :class:`ExperimentEngine` is the front door of the experiments subsystem.  A
 sweep is first expanded into seeded :class:`~repro.experiments.spec.TrialSpec`
@@ -15,19 +15,19 @@ whole rate grid — see :mod:`repro.experiments.tensor`), and ``auto`` picks
 ``vectorized`` whenever the application-kernel registry
 (:func:`~repro.experiments.kernels.batchable_series`) finds batch-capable
 series in the plan.  The engine additionally streams per-(series, rate)
-progress events to an optional callback and memoizes completed figures on
-disk through :class:`~repro.experiments.cache.ResultCache`.
+progress events to an optional callback.  It only executes: callers that
+keep completed figures store them in a
+:class:`~repro.experiments.campaign.ShardStore`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.executors import Executor, get_executor
-from repro.experiments.results import FigureResult, SeriesResult
+from repro.experiments.results import SeriesResult
 from repro.experiments.sequential import PointStatus
 from repro.experiments.spec import PointKey, SweepSpec, TrialSpec
 
@@ -258,15 +258,13 @@ def assemble_series(
 
 
 class ExperimentEngine:
-    """Plans and executes fault-rate sweeps; optionally caches figures.
+    """Plans and executes fault-rate sweeps.
 
     Parameters
     ----------
     executor:
         Executor name (``"serial"``, ``"vectorized"``, ``"auto"``) or a
         ready-built :class:`~repro.experiments.executors.Executor`.
-    cache_dir:
-        Enables :meth:`run_figure` memoization when set.
     progress:
         Callback receiving a :class:`ProgressEvent` after every completed
         trial, in completion order.
@@ -280,14 +278,12 @@ class ExperimentEngine:
     def __init__(
         self,
         executor: Union[str, Executor] = "serial",
-        cache_dir: Union[str, Path, None] = None,
         progress: Optional[ProgressCallback] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.executor = (
             executor if isinstance(executor, Executor) else get_executor(executor)
         )
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.progress = progress
         if backend is not None:
             # Unknown names fail here, not mid-sweep.
@@ -297,10 +293,10 @@ class ExperimentEngine:
         self.backend = backend
 
     def _apply_backend(self, sweep: SweepSpec) -> SweepSpec:
-        """Stamp the engine's backend onto a sweep that has no choice of its own."""
+        """The sweep to run: a copy carrying the engine's backend when the
+        sweep has no choice of its own (the caller's sweep is never modified)."""
         if self.backend is not None and sweep.backend is None:
-            sweep.backend = self.backend
-            sweep._specs = None  # invalidate any pre-backend expansion
+            return dataclasses.replace(sweep, backend=self.backend)
         return sweep
 
     # ------------------------------------------------------------------ #
@@ -447,29 +443,3 @@ class ExperimentEngine:
             )
 
         return emit
-
-    # ------------------------------------------------------------------ #
-    # Cached figure reproduction
-    # ------------------------------------------------------------------ #
-    def run_figure(
-        self,
-        key: Mapping[str, Any],
-        build: Callable[[], FigureResult],
-        refresh: bool = False,
-    ) -> FigureResult:
-        """Build a figure, memoized on disk by the content hash of ``key``.
-
-        ``key`` must capture everything that determines the figure's values
-        (workload parameters, trials, iterations, seed, ...).  With no cache
-        directory configured, or with ``refresh=True``, ``build()`` always
-        runs; a completed build is stored so the next run with the same key
-        is a file read.
-        """
-        if self.cache is not None and not refresh:
-            cached = self.cache.load(key)
-            if cached is not None:
-                return cached
-        figure = build()
-        if self.cache is not None:
-            self.cache.store(key, figure)
-        return figure

@@ -104,7 +104,6 @@ __all__ = [
     "kernel_names",
     "list_kernels",
     "sweep_kernels",
-    "batched_kernels",
     "matching_workload",
     "sorting_trial_functions",
     "least_squares_trial_functions",
@@ -740,11 +739,9 @@ class KernelSpec:
         ``"success_rate"`` (report per-rate success fractions) or ``"mean"``.
     sweep:
         Whether the figure runs a fault-rate sweep through the engine (and
-        therefore accepts an ``engine`` keyword).
-    batched:
-        Whether at least one series carries a tensorized batch
-        implementation, i.e. the ``vectorized``/``auto`` executors have a
-        fast path for this kernel.
+        therefore accepts an ``engine`` keyword).  Every sweep kernel
+        carries a tensorized batch implementation, so the
+        ``vectorized``/``auto`` executors have a fast path for it.
     scenario_study:
         Whether the kernel's figure *is already* a scenario-grid study
         (cross-model or voltage comparison).  Such kernels are excluded from
@@ -785,7 +782,6 @@ class KernelSpec:
     y_label: str = ""
     metric: str = "mean"
     sweep: bool = False
-    batched: bool = False
     scenario_study: bool = False
     series: Optional[Mapping[str, Optional[str]]] = None
     trial_factory: Optional[Callable[..., Dict[str, TrialFunction]]] = None
@@ -1048,11 +1044,6 @@ def sweep_kernels() -> List[KernelSpec]:
     return [spec for spec in _REGISTRY.values() if spec.sweep]
 
 
-def batched_kernels() -> List[KernelSpec]:
-    """The kernels with at least one tensorized batch-capable series."""
-    return [spec for spec in _REGISTRY.values() if spec.batched]
-
-
 # --------------------------------------------------------------------------- #
 # Registrations — the single source of truth for the figure suite
 # --------------------------------------------------------------------------- #
@@ -1085,7 +1076,6 @@ register_kernel(KernelSpec(
     benchmark="benchmarks/bench_fig6_1_sorting.py",
     metric="success_rate",
     sweep=True,
-    batched=True,
     trial_factory=sorting_kernel,
     paper_iterations=10000,
 ))
@@ -1098,7 +1088,6 @@ register_kernel(KernelSpec(
     y_label="relative error w.r.t. ideal (lower is better)",
     benchmark="benchmarks/bench_fig6_2_least_squares.py",
     sweep=True,
-    batched=True,
     trial_factory=least_squares_kernel,
     paper_iterations=1000,
     min_iterations=500,
@@ -1112,7 +1101,6 @@ register_kernel(KernelSpec(
     y_label="error energy / signal energy (lower is better)",
     benchmark="benchmarks/bench_fig6_3_iir.py",
     sweep=True,
-    batched=True,
     trial_factory=iir_kernel,
     paper_iterations=1000,
     min_iterations=500,
@@ -1127,7 +1115,6 @@ register_kernel(KernelSpec(
     benchmark="benchmarks/bench_fig6_4_matching.py",
     metric="success_rate",
     sweep=True,
-    batched=True,
     trial_factory=matching_kernel,
     paper_iterations=10000,
 ))
@@ -1141,7 +1128,6 @@ register_kernel(KernelSpec(
     benchmark="benchmarks/bench_fig6_5_enhancements.py",
     metric="success_rate",
     sweep=True,
-    batched=True,
     trial_factory=matching_kernel,
     paper_iterations=10000,
     series={
@@ -1162,7 +1148,6 @@ register_kernel(KernelSpec(
     y_label="relative error w.r.t. ideal (lower is better)",
     benchmark="benchmarks/bench_fig6_6_cg_least_squares.py",
     sweep=True,
-    batched=True,
     trial_factory=cg_least_squares_kernel,
 ))
 register_kernel(KernelSpec(
@@ -1185,7 +1170,6 @@ register_kernel(KernelSpec(
     benchmark="benchmarks/bench_sec6_2_momentum.py",
     metric="success_rate",
     sweep=True,
-    batched=True,
     trial_factory=momentum_kernel,
     paper_iterations=5000,
 ))
@@ -1218,7 +1202,6 @@ register_kernel(KernelSpec(
     y_label="relative eigenvalue error (lower is better)",
     benchmark="benchmarks/bench_ext_eigen.py",
     sweep=True,
-    batched=True,
     trial_factory=eigen_kernel,
     paper_iterations=200,
     min_iterations=50,
@@ -1232,7 +1215,6 @@ register_kernel(KernelSpec(
     y_label="relative flow-value error (lower is better)",
     benchmark="benchmarks/bench_ext_maxflow.py",
     sweep=True,
-    batched=True,
     trial_factory=maxflow_kernel,
     paper_iterations=5000,
     min_iterations=500,
@@ -1246,7 +1228,6 @@ register_kernel(KernelSpec(
     y_label="mean relative distance error (lower is better)",
     benchmark="benchmarks/bench_ext_apsp.py",
     sweep=True,
-    batched=True,
     trial_factory=apsp_kernel,
     paper_iterations=5000,
     min_iterations=500,
@@ -1260,7 +1241,6 @@ register_kernel(KernelSpec(
     y_label="training accuracy (higher is better)",
     benchmark="benchmarks/bench_ext_svm.py",
     sweep=True,
-    batched=True,
     trial_factory=svm_kernel,
     paper_iterations=1000,
     min_iterations=200,
@@ -1281,7 +1261,6 @@ register_kernel(KernelSpec(
     benchmark="benchmarks/bench_scenario_grids.py",
     metric="success_rate",
     sweep=True,
-    batched=True,
     trial_factory=sorting_kernel,
     paper_iterations=10000,
 ))
@@ -1295,7 +1274,6 @@ register_kernel(KernelSpec(
     y_label="relative error w.r.t. ideal (lower is better)",
     benchmark="benchmarks/bench_scenario_grids.py",
     sweep=True,
-    batched=True,
     trial_factory=least_squares_kernel,
     paper_iterations=1000,
     min_iterations=500,
@@ -1311,7 +1289,6 @@ register_kernel(KernelSpec(
     benchmark="benchmarks/bench_scenario_grids.py",
     metric="success_rate",
     sweep=True,
-    batched=True,
     trial_factory=matching_kernel,
     paper_iterations=10000,
 ))
@@ -1326,7 +1303,6 @@ register_kernel(KernelSpec(
     benchmark="benchmarks/bench_scenario_grids.py",
     metric="success_rate",
     sweep=True,
-    batched=True,
     trial_factory=sorting_kernel,
     paper_iterations=10000,
 ))
@@ -1340,7 +1316,6 @@ register_kernel(KernelSpec(
     y_label="relative error w.r.t. ideal (lower is better)",
     benchmark="benchmarks/bench_scenario_grids.py",
     sweep=True,
-    batched=True,
     trial_factory=least_squares_kernel,
     paper_iterations=1000,
     min_iterations=500,
@@ -1356,7 +1331,6 @@ register_kernel(KernelSpec(
     benchmark="benchmarks/bench_scenario_grids.py",
     metric="success_rate",
     sweep=True,
-    batched=True,
     trial_factory=matching_kernel,
     paper_iterations=10000,
 ))

@@ -62,7 +62,7 @@ class SeriesResult:
         ]
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form of this series (for the on-disk result cache)."""
+        """Plain-data form of this series (for the on-disk figure store)."""
         payload: Dict[str, Any] = {
             "name": self.name,
             "fault_rates": [float(r) for r in self.fault_rates],
@@ -93,7 +93,7 @@ class SeriesResult:
 def series_digest(series: Sequence["SeriesResult"]) -> str:
     """SHA-256 over the canonical serialized form of a series list.
 
-    The digest covers exactly what the result cache would persist
+    The digest covers exactly what the figure store would persist
     (:meth:`SeriesResult.to_dict` of every series, in order), canonicalized
     with the same strict JSON rules as the cache key hash — so two runs have
     equal digests if and only if their cached payloads would be
@@ -138,7 +138,7 @@ class FigureResult:
         return []
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form of this figure (for the on-disk result cache)."""
+        """Plain-data form of this figure (for the on-disk figure store)."""
         return {
             "figure_id": self.figure_id,
             "title": self.title,

@@ -83,11 +83,8 @@ def run_fault_rate_sweep(
 
     ``backend`` selects the compute backend (see :mod:`repro.backends`) for
     every trial's substrate objects; ``None`` keeps the ambient selection
-    (``REPRO_BACKEND`` env var / ``use_backend`` context / numpy).  Because
-    the built-in compiled backends are bit-identical, this too affects
-    throughput only — unless a statistical-tier backend (e.g.
-    ``cnative-fused``) is chosen, in which case the sweep fingerprint
-    records it.
+    (``REPRO_BACKEND`` env var / ``use_backend`` context / numpy).  Every
+    backend is bit-identical to numpy, so this too affects throughput only.
     """
     sweep = SweepSpec(
         trial_functions=dict(trial_functions),

@@ -73,7 +73,7 @@ def search_id(
 
     Anything that could change the probe sequence or probe values — driver
     tolerances and ranges, series line-up, trial budgets, seeds, budget
-    policy, backend tier, workload key — lands in the hash, so a drifted
+    policy, workload key — lands in the hash, so a drifted
     configuration gets a fresh search id instead of silently inheriting an
     old manifest.  Probe *artifacts* still dedupe across different search
     ids through the shard store; only the manifest is per-configuration.

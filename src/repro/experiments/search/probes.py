@@ -226,7 +226,7 @@ class ProbeRunner:
         Uses a representative probe sweep's own fingerprint (at the nominal
         placeholder voltage, with the voltage field factored out) so
         everything that changes probe values — series, trials, seed, budget
-        policy, statistical-tier backend, scenario model — changes every
+        policy, scenario model — changes every
         search id that uses this runner.
         """
         sweep_fingerprint = self.sweep_for(1.0).fingerprint()

@@ -361,7 +361,8 @@ class SweepSpec:
         configuration); it cannot see inside trial-function closures, so
         cache users must add workload parameters to their key payload
         themselves.  Single-axis sweeps produce the historical payload
-        unchanged, so existing cache entries stay valid.
+        unchanged, so existing cache entries stay valid.  The compute
+        backend never enters it: every backend is bit-identical to numpy.
         """
         model = self.fault_model
         payload: Dict[str, object] = {
@@ -380,16 +381,6 @@ class SweepSpec:
             # FixedCount forms keep the historical fingerprint byte for
             # byte, while adaptive runs hash to distinct cache entries.
             payload["budget"] = self.policy.fingerprint()
-        if self.backend is not None:
-            # Same conditional-key pattern as "budget": a bit-identical
-            # backend cannot change any result, so it stays invisible to
-            # cache keys (historical fingerprints remain byte-identical);
-            # only statistical-tier backends enter the payload.
-            from repro.backends import resolve_backend
-
-            backend = resolve_backend(self.backend)
-            if backend.changes_results:
-                payload["backend"] = backend.name
         return payload
 
 

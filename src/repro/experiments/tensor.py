@@ -50,32 +50,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import (
-    active_backend,
-    available_backends,
-    get_backend,
-    list_backends,
-    resolve_backend,
-    use_backend,
-)
 from repro.experiments.kernels import batch_implementation
 from repro.experiments.spec import SweepSpec, TrialSpec, backend_scope
-from repro.processor.batch import ProcessorBatch
 from repro.processor.stochastic import StochasticProcessor
 
 __all__ = [
-    "ProcessorBatch",
     "make_trial_batch",
     "run_tensor_cell",
-    # Re-exported compute-backend registry API (the backend layer lives
-    # under repro.backends; the tensorized trial backend is its primary
-    # consumer, so the registry surface is importable from here too).
-    "active_backend",
-    "available_backends",
-    "get_backend",
-    "list_backends",
-    "resolve_backend",
-    "use_backend",
 ]
 
 

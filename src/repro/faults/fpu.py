@@ -44,10 +44,9 @@ class StochasticFPU:
         # Scalar-commit fast path: bind the backend's compiled kernel when
         # the injector's substrate preconditions hold (its own corrupt_array
         # binding encodes them: stock bit distribution, non-LFSR generator).
-        kernel = self._injector.backend.kernel("commit_scalar")
         self._commit_kernel = (
-            kernel.func
-            if kernel is not None and self._injector._array_kernel is not None
+            self._injector.backend.kernel("commit_scalar")
+            if self._injector._array_kernel is not None
             else None
         )
 

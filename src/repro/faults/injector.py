@@ -100,11 +100,9 @@ class FaultInjector:
         # generator-timed faults and the stock inverse-CDF bit sampler; any
         # other configuration stays on the numpy tier.
         self._backend = active_backend()
-        kernel = self._backend.kernel("corrupt_array")
         self._array_kernel = (
-            kernel.func
-            if kernel is not None
-            and not self._use_lfsr
+            self._backend.kernel("corrupt_array")
+            if not self._use_lfsr
             and type(self._bit_distribution).sample is BitPositionDistribution.sample
             else None
         )

@@ -134,13 +134,6 @@ def conjugate_gradient_least_squares_batch(
             sub_batches[key] = sub
         return sub
 
-    # Statistical-tier fused reduction: only backends that explicitly
-    # register a ``row_dots`` kernel (e.g. ``cnative-fused``) provide one,
-    # and such backends are fingerprint-visible because a different
-    # summation order can change the last bits of α/β.  The default tiers
-    # leave this None and keep the bit-identical per-row loop below.
-    row_dots_impl = batch.backend.kernel("row_dots")
-
     def _row_dots(U: np.ndarray, V: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Per-row reliable dot products, charged as ``2·length − 1`` FLOPs each.
 
@@ -154,8 +147,6 @@ def conjugate_gradient_least_squares_batch(
         length = U.shape[1]
         for t in index:
             batch.procs[int(t)].count_flops(2 * length - 1)
-        if row_dots_impl is not None:
-            return row_dots_impl.func(U, V)
         return np.array([float(u @ v) for u, v in zip(U, V)])
 
     def _normal_residuals(sub: ProcessorBatch, X_rows: np.ndarray) -> np.ndarray:

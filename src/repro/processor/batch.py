@@ -100,12 +100,9 @@ class ProcessorBatch:
         # hand-built batch sharing one generator must stay on the numpy tier.
         from repro.backends import active_backend
 
-        self._backend = active_backend()
-        kernel = self._backend.kernel("batch_corrupt")
         self._batch_kernel = (
-            kernel.func
-            if kernel is not None
-            and self._shared_cdf is not None
+            active_backend().kernel("batch_corrupt")
+            if self._shared_cdf is not None
             and len({id(rng) for rng in self._rngs}) == len(self._rngs)
             and not any(proc.injector.uses_lfsr for proc in procs)
             else None
@@ -126,11 +123,6 @@ class ProcessorBatch:
     def fault_rates(self) -> np.ndarray:
         """Per-trial fault rates (fixed at batch construction), ``(n_trials,)``."""
         return self._rates.copy()
-
-    @property
-    def backend(self):
-        """The compute backend this batch resolved at construction."""
-        return self._backend
 
     # ------------------------------------------------------------------ #
     # Batched noisy corruption (mirrors StochasticProcessor.corrupt row-wise)

@@ -72,10 +72,9 @@ class StochasticProcessor:
         # when the injector's substrate preconditions hold (the injector's
         # own corrupt_array binding already encodes them: stock bit
         # distribution, non-LFSR generator, backend provides the C tier).
-        block = self._injector.backend.kernel("corrupt_block")
         self._block_kernel = (
-            block.func
-            if block is not None and self._injector._array_kernel is not None
+            self._injector.backend.kernel("corrupt_block")
+            if self._injector._array_kernel is not None
             else None
         )
         self._array_flops = 0

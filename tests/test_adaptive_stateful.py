@@ -14,8 +14,8 @@ fixed-count twins, checking the round loop against a simple model:
   values byte for byte (the determinism contract of docs/adaptive.md);
 * an unreachable target degenerates to the fixed-count run of the same
   ``max_trials`` — same values, nothing flagged as halted early;
-* adaptive and no-policy fingerprints never collide in the result cache,
-  and cached adaptive figures round-trip with budgets intact.
+* adaptive and no-policy fingerprints never collide in the figure store,
+  and stored adaptive figures round-trip with budgets intact.
 """
 
 import shutil
@@ -25,8 +25,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
-from repro.experiments.cache import ResultCache, spec_hash
-from repro.experiments.campaign import CampaignRunner, ShardPlanner
+from repro.experiments.cache import spec_hash
+from repro.experiments.campaign import CampaignRunner, ShardPlanner, ShardStore
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.results import FigureResult
 from repro.experiments.sequential import ConfidenceTarget
@@ -175,19 +175,19 @@ class AdaptiveRoundLoopMachine(RuleBasedStateMachine):
             y_label="y",
             series=series,
         )
-        cache = ResultCache(self.cache_dir)
-        cache.store(adaptive_spec.fingerprint(), figure)
+        store = ShardStore(self.cache_dir)
+        store.store_figure(adaptive_spec.fingerprint(), figure)
         self.cached[adaptive_hash] = snapshot(series)
-        loaded = cache.load(adaptive_spec.fingerprint())
+        loaded = store.load_figure(adaptive_spec.fingerprint())
         assert loaded is not None
         assert snapshot(loaded.series) == self.cached[adaptive_hash]
 
     @precondition(lambda self: self.target is not None and self.cached)
     @rule()
     def cache_hits_replay_stored_budgets(self):
-        cache = ResultCache(self.cache_dir)
+        store = ShardStore(self.cache_dir)
         fingerprint = self.spec(self.target).fingerprint()
-        loaded = cache.load(fingerprint)
+        loaded = store.load_figure(fingerprint)
         key = spec_hash(fingerprint)
         if key in self.cached:
             assert loaded is not None

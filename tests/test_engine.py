@@ -1,11 +1,12 @@
-"""Tests for the experiment engine: specs, executors, caching, progress."""
+"""Tests for the experiment engine: specs, executors, progress, stored figures."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiments.cache import ResultCache, spec_hash
+from repro.experiments.cache import spec_hash
+from repro.experiments.campaign import ShardStore
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.executors import (
     SerialExecutor,
@@ -219,34 +220,27 @@ class TestEngine:
         assert totals == {12}
         assert str(events[-1]).startswith("[12/12]")
 
-    def test_run_figure_is_incremental(self, tmp_path):
-        builds = []
-
-        def build():
-            builds.append(1)
-            figure = FigureResult("F", "t", "x", "y")
-            figure.series.append(
-                SeriesResult(name="s", fault_rates=[0.0], values=[[1.0, 0.0]])
-            )
-            return figure
-
-        engine = ExperimentEngine(cache_dir=tmp_path)
+    def test_stored_figure_replays_by_key(self, tmp_path):
+        store = ShardStore(tmp_path)
         key = {"figure": "demo", "trials": 2}
-        first = engine.run_figure(key, build)
-        second = engine.run_figure(key, build)
-        assert len(builds) == 1  # second call replayed from disk
-        assert second.series_named("s").values == first.series_named("s").values
-        engine.run_figure({"figure": "demo", "trials": 3}, build)
-        assert len(builds) == 2  # different spec hash -> rebuild
-        engine.run_figure(key, build, refresh=True)
-        assert len(builds) == 3  # refresh bypasses the cache
+        assert store.load_figure(key) is None
+        figure = FigureResult("F", "t", "x", "y")
+        figure.series.append(
+            SeriesResult(name="s", fault_rates=[0.0], values=[[1.0, 0.0]])
+        )
+        path = store.store_figure(key, figure)
+        assert path == tmp_path / "figures" / f"{spec_hash(key)}.json"
+        replayed = ShardStore(tmp_path).load_figure(key)
+        assert replayed.to_dict() == figure.to_dict()
+        # A different key hashes to a different entry.
+        assert store.load_figure({"figure": "demo", "trials": 3}) is None
 
     def test_cache_ignores_corrupt_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = ShardStore(tmp_path)
         key = {"figure": "demo"}
-        path = cache.store(key, FigureResult("F", "t", "x", "y"))
+        path = store.store_figure(key, FigureResult("F", "t", "x", "y"))
         path.write_text("{not json")
-        assert cache.load(key) is None
+        assert store.load_figure(key) is None
 
     def test_figure_roundtrip_through_dict(self):
         figure = FigureResult(

@@ -1,5 +1,5 @@
 """Tests for the experiment harness (runner, reporting, figure generators)
-and the correctness contract of the on-disk result cache.
+and the correctness contract of the on-disk figure store.
 
 Figure generators are exercised at miniature scale so the whole module runs
 in seconds; the benchmark harness runs them at representative scale.
@@ -11,7 +11,8 @@ import threading
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.cache import ResultCache, spec_hash
+from repro.experiments.cache import spec_hash
+from repro.experiments.campaign import ShardStore
 from repro.experiments.reporting import figure_to_rows, format_figure, save_figure_report
 from repro.experiments.runner import FigureResult, SeriesResult, run_fault_rate_sweep
 
@@ -169,8 +170,8 @@ class TestFigureGenerators:
         assert ratios["matching"] > 10.0
 
 
-class TestResultCacheCorrectness:
-    """The cache's two correctness contracts: injective keys, atomic stores."""
+class TestFigureStoreCorrectness:
+    """The figure store's two correctness contracts: injective keys, atomic stores."""
 
     def test_spec_hash_distinguishes_value_types(self):
         """Regression: default=str made a float and its string form collide."""
@@ -209,7 +210,7 @@ class TestResultCacheCorrectness:
         loading it; with per-writer tmp files every observed entry is a
         complete, loadable figure.
         """
-        cache = ResultCache(tmp_path)
+        store = ShardStore(tmp_path)
         key = {"figure": "demo", "trials": 3}
         figure = FigureResult(
             "F", "t" * 512, "x", "y",
@@ -219,11 +220,11 @@ class TestResultCacheCorrectness:
 
         def writer():
             for _ in range(25):
-                cache.store(key, figure)
+                store.store_figure(key, figure)
 
         def reader():
             for _ in range(100):
-                loaded = cache.load(key)
+                loaded = store.load_figure(key)
                 if loaded is not None and loaded.title != figure.title:
                     errors.append("torn read")
 
@@ -234,7 +235,7 @@ class TestResultCacheCorrectness:
         for thread in threads:
             thread.join()
         assert not errors
-        final = cache.load(key)
+        final = store.load_figure(key)
         assert final is not None and final.title == figure.title
         # No per-writer tmp files may be left behind.
-        assert not list(tmp_path.glob("*.tmp"))
+        assert not list(tmp_path.rglob("*.tmp"))

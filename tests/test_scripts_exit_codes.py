@@ -21,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import benchhistory as bh
-from repro.experiments.campaign import list_pools
+from repro.experiments.campaign import ShardStore, list_pools
 from repro.experiments.executors import list_executors
-from repro.experiments.results import SeriesResult
+from repro.experiments.results import FigureResult, SeriesResult
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 HISTORY_DIR = REPO_ROOT / "benchmarks" / "history"
@@ -152,6 +152,28 @@ class TestReproduceFiguresBudgetFlags:
             figures.main(argv)
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class TestReproduceFiguresCache:
+    def test_cached_figure_builds_once_per_key(self, figures, tmp_path):
+        builds = []
+
+        def build():
+            builds.append(1)
+            return FigureResult("F", "t", "x", "y")
+
+        store = ShardStore(tmp_path)
+        key = {"figure": "demo", "trials": 2}
+        first = figures.cached_figure(store, key, build, refresh=False)
+        second = figures.cached_figure(store, key, build, refresh=False)
+        assert len(builds) == 1  # second call replayed from disk
+        assert second.to_dict() == first.to_dict()
+        figures.cached_figure(store, {"figure": "demo", "trials": 3}, build, False)
+        assert len(builds) == 2  # different key hash -> rebuild
+        figures.cached_figure(store, key, build, refresh=True)
+        assert len(builds) == 3  # --refresh bypasses the stored figure
+        figures.cached_figure(None, key, build, refresh=False)
+        assert len(builds) == 4  # --no-cache: no store at all
 
 
 def seed_history(tmp_path, kernel="sorting", wall=1.0, **overrides):
